@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-sharded race-optimistic opt-smoke bench bench-engine bench-pdes bench-mem bench-check huge huge-smoke fault-smoke profile check
+.PHONY: build test vet race race-sharded bench bench-engine bench-pdes bench-mem bench-check huge huge-smoke fault-smoke profile check
 
 build:
 	$(GO) build ./...
@@ -26,20 +26,6 @@ race:
 race-sharded:
 	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
-
-# race-optimistic does the same for the Time Warp core: the differential and
-# rollback tests under the race detector at two scheduler widths. Speculation,
-# rollback and GVT commit all cross goroutines, so both widths must stay
-# race-clean AND byte-identical to the serial engine.
-race-optimistic:
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Optimistic|BitIdentical|Rollback' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Optimistic|BitIdentical|Rollback' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
-
-# opt-smoke runs a small real sweep through the CLI on the optimistic core
-# with speculation stats printed — an end-to-end check that the Time Warp
-# engine drives the full cluster model, not just the unit harness.
-opt-smoke:
-	GOMAXPROCS=2 $(GO) run ./cmd/parsim run fig3 t2 -nodes 8 -calls 64 -seeds 1 -procs 1 -shard-procs 2 -core optimistic -v
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -110,4 +96,4 @@ profile:
 	./profiles/parsim $(PROFILE_ARGS) -cpuprofile profiles/parsim.cpu -memprofile profiles/parsim.mem > /dev/null
 	$(GO) tool pprof -top -nodecount 25 profiles/parsim profiles/parsim.cpu
 
-check: vet test race race-sharded race-optimistic opt-smoke
+check: vet test race race-sharded

@@ -78,45 +78,27 @@ type memReport struct {
 // where construction cost — per-rank, per-node, per-thread object graphs —
 // carries real weight.
 func memScenarios() []pdesScenario {
-	return append(pdesScenarios(),
-		pdesScenario{
-			name: "mem-cluster-256",
-			detail: "4 Allreduce calls on a 256-node x 16-CPU vanilla cluster " +
-				"(4096 CPUs): the construction-heavy point where flattened " +
-				"per-rank state matters most",
-			nodes: 256, calls: 4,
-		},
-		pdesScenario{
-			name: "mem-opt-shortlook-8",
-			detail: "the short-lookahead jittered scenario on the optimistic " +
-				"(Time Warp) core at 2 workers: snapshot records, segments, " +
-				"staged sends and recycled events are all pooled, so bytes " +
-				"per event must stay on par with the serial run",
-			nodes: 8, calls: 128, jitter: 2 * sim.Microsecond,
-			lookahead: 6 * sim.Microsecond,
-			core:      sim.CoreOptimistic, memWorkers: 2,
-		},
-	)
+	return append(pdesScenarios(), pdesScenario{
+		name: "mem-cluster-256",
+		detail: "4 Allreduce calls on a 256-node x 16-CPU vanilla cluster " +
+			"(4096 CPUs): the construction-heavy point where flattened " +
+			"per-rank state matters most",
+		nodes: 256, calls: 4,
+	})
 }
 
 // measureMemOnce runs one rep of a scenario under MemStats bracketing.
 func measureMemOnce(s pdesScenario) (memMeasurement, error) {
-	prev := sim.DefaultCore
-	sim.DefaultCore = s.core // zero value = CoreWheel, the default
-	defer func() { sim.DefaultCore = prev }()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	c := coschedsim.MustBuild(pdesConfig(s, s.memWorkers, 1))
+	c := coschedsim.MustBuild(pdesConfig(s, 0, 1))
 	if err := pdesRun(s, c); err != nil {
 		return memMeasurement{}, err
 	}
 	fired := c.Eng.Fired()
-	switch {
-	case c.Group != nil:
+	if c.Group != nil {
 		fired = c.Group.Fired()
-	case c.OptGroup != nil:
-		fired = c.OptGroup.Fired()
 	}
 	runtime.ReadMemStats(&m1)
 	m := memMeasurement{
@@ -221,97 +203,6 @@ func shardedWindowBody(b *testing.B) {
 	g.Run(sim.Time(b.N) * lookahead)
 }
 
-// optimisticIntLayer checkpoints one int through the dirty-tracked
-// (sim.ShardStateIncremental) protocol: Save arms an empty pooled record and
-// the first mutation of the segment copies the pre-image into it, so the
-// micro-benchmark's speculation exercises the same arm/touch/restore path
-// the real mpi/noise/gpfs layers use — with zero allocations of its own
-// once the pool warms up.
-type intSnap struct {
-	filled bool
-	v      int
-}
-
-type optimisticIntLayer struct {
-	v    int
-	cur  *intSnap
-	pool []*intSnap
-}
-
-// bump is the layer's one mutation: copy-before-first-write, then increment.
-func (l *optimisticIntLayer) bump() int {
-	if sn := l.cur; sn != nil && !sn.filled {
-		sn.filled, sn.v = true, l.v
-	}
-	l.v++
-	return l.v
-}
-
-func (l *optimisticIntLayer) Incremental() {}
-
-func (l *optimisticIntLayer) Save() any {
-	var sn *intSnap
-	if k := len(l.pool); k > 0 {
-		sn = l.pool[k-1]
-		l.pool[k-1] = nil
-		l.pool = l.pool[:k-1]
-	} else {
-		sn = &intSnap{}
-	}
-	l.cur = sn
-	return sn
-}
-
-func (l *optimisticIntLayer) Restore(snap any) {
-	sn := snap.(*intSnap)
-	if sn == l.cur {
-		l.cur = nil
-	}
-	if sn.filled {
-		l.v = sn.v
-	}
-}
-
-func (l *optimisticIntLayer) Release(snap any) {
-	sn := snap.(*intSnap)
-	if sn == l.cur {
-		l.cur = nil
-	}
-	sn.filled = false
-	l.pool = append(l.pool, sn)
-}
-
-// optimisticSpeculateBody is the Time Warp steady-state micro-benchmark:
-// the same 4-shard / 2-worker / cross-shard-send-every-4th-firing loop as
-// shardedWindowBody, but on the optimistic core with a registered checkpoint
-// layer per shard, driven for b.N lookaheads of simulated time. AllocsPerOp
-// is the speculation machinery's steady-state cost on top of the event
-// chains — snapshots, segment bookkeeping, staged sends, recycled events —
-// and the acceptance target is parity with sharded-window-loop (zero extra
-// bytes per op). BenchmarkOptimisticSteadyAllocs in internal/sim is the
-// test-suite twin.
-func optimisticSpeculateBody(b *testing.B) {
-	const shards = 4
-	lookahead := 24 * sim.Microsecond
-	g := sim.NewOptimisticGroup(1, shards, 2, lookahead)
-	for i := 0; i < shards; i++ {
-		i := i
-		e := g.Shard(i)
-		layer := &optimisticIntLayer{}
-		e.AddShardState(layer)
-		e.Recur(sim.Time(i+1)*sim.Microsecond, "chain", func() sim.Time {
-			if layer.bump()%4 == 0 {
-				dst := g.Shard((i + 1) % shards)
-				e.ScheduleOn(dst, e.Now()+lookahead, "cross", func() {})
-			}
-			return e.Now() + 10*sim.Microsecond
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	g.Run(sim.Time(b.N) * lookahead)
-}
-
 // memMicros names the micro-benchmarks recorded in the report.
 func memMicros() []struct {
 	name, detail string
@@ -333,15 +224,6 @@ func memMicros() []struct {
 				"time-window machinery: 4 shards, 2 workers, cross-shard sends; " +
 				"mirrors BenchmarkShardedWindowAllocs",
 			body: shardedWindowBody,
-		},
-		{
-			name: "optimistic-speculate",
-			detail: "per-lookahead steady-state allocations of the Time Warp " +
-				"machinery: 4 shards, 2 workers, dirty-tracked (incremental) " +
-				"checkpoint layers, cross-shard sends; target is parity with " +
-				"sharded-window-loop (speculation adds zero bytes); mirrors " +
-				"BenchmarkOptimisticSteadyAllocs",
-			body: optimisticSpeculateBody,
 		},
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 		c := coschedsim.MustBuild(cfg)
 		buf := coschedsim.NewTraceBuffer(8 << 20)
 		buf.SkipTicks(true)
-		c.SetTraceSink(0, buf)
+		c.Nodes[0].SetSink(buf)
 
 		spec := coschedsim.BSPSpec{
 			Steps:             int(win / (12 * coschedsim.Millisecond)),

@@ -209,8 +209,7 @@ var NewBatchScheduler = batch.NewScheduler
 
 // Tracing (the simulator's AIX-trace analogue).
 type (
-	// TraceBuffer captures scheduler events; install with
-	// Cluster.SetTraceSink (committed-only under the optimistic core).
+	// TraceBuffer captures scheduler events; install with Node.SetSink.
 	TraceBuffer = trace.Buffer
 	// TraceRecord is one captured event.
 	TraceRecord = trace.Record

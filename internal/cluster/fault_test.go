@@ -16,9 +16,9 @@ import (
 func faultTrace(t *testing.T, cfg Config, calls int) ([]sim.Time, bool, sim.Time, uint64, FaultReport) {
 	t.Helper()
 	c := MustBuild(cfg)
-	p := newRank0Probe(c)
-	done, ok := c.Launch(p.program(calls), 10*sim.Minute)
-	return p.times, ok, done, c.Job.P2PSends(), c.FaultReport()
+	var times []sim.Time
+	done, ok := c.Launch(allreduceLoop(calls, &times), 10*sim.Minute)
+	return times, ok, done, c.Job.P2PSends(), c.FaultReport()
 }
 
 const detect = 50 * sim.Microsecond
@@ -206,13 +206,6 @@ func TestFaultyScenarioBitIdenticalAcrossCores(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		if got := run(sim.CoreWheel, w); !reflect.DeepEqual(ref, got) {
 			t.Errorf("sharded core @ %d workers diverges from serial wheel:\nserial:  %+v\nsharded: %+v", w, ref, got)
-		}
-	}
-	// The optimistic core must hold the same pin: rollbacks of speculated
-	// faults (crashes, aborts, retransmits) may not leak into any count.
-	for _, w := range []int{1, 2, 4} {
-		if got := run(sim.CoreOptimistic, w); !reflect.DeepEqual(ref, got) {
-			t.Errorf("optimistic core @ %d workers diverges from serial wheel:\nserial:     %+v\noptimistic: %+v", w, ref, got)
 		}
 	}
 }

@@ -7,18 +7,44 @@ import (
 	"coschedsim/internal/sim"
 )
 
+// allreduceLoop returns a program in which every rank runs calls
+// Allreduce calls back to back; rank 0 appends each call's duration to
+// *times.
+func allreduceLoop(calls int, times *[]sim.Time) func(*mpi.Rank) {
+	var t0 sim.Time
+	return func(r *mpi.Rank) {
+		var loop func(i int)
+		loop = func(i int) {
+			if i == calls {
+				r.Done()
+				return
+			}
+			if r.ID() == 0 {
+				t0 = r.Now()
+			}
+			r.Allreduce(float64(r.ID()), func(float64) {
+				if r.ID() == 0 {
+					*times = append(*times, r.Now()-t0)
+				}
+				loop(i + 1)
+			})
+		}
+		loop(0)
+	}
+}
+
 // allreduceTrace runs a fixed Allreduce loop on cfg and returns rank 0's
 // per-call times, the completion time, and the job's total point-to-point
 // send count — a fingerprint sensitive to any ordering or RNG divergence.
 func allreduceTrace(t *testing.T, cfg Config, calls int) ([]sim.Time, sim.Time, uint64, *Cluster) {
 	t.Helper()
 	c := MustBuild(cfg)
-	p := newRank0Probe(c)
-	done, ok := c.Launch(p.program(calls), 10*sim.Minute)
+	var times []sim.Time
+	done, ok := c.Launch(allreduceLoop(calls, &times), 10*sim.Minute)
 	if !ok {
 		t.Fatal("allreduce loop did not complete")
 	}
-	return p.times, done, c.Job.P2PSends(), c
+	return times, done, c.Job.P2PSends(), c
 }
 
 // TestShardedClusterBitIdentical is the cluster-level determinism pin: the
@@ -74,6 +100,45 @@ func TestShardedClusterBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedWorkerCountIndependent pins what the sharded core guarantees on
+// a configuration where it does not match the serial engine: with jitter on
+// and the fabric latency cut to 12us, seed 3's per-call times differ from
+// the serial engine's, but 1, 2 and 4 workers must still agree exactly.
+func TestShardedWorkerCountIndependent(t *testing.T) {
+	const calls = 128
+	prev := sim.DefaultCore
+	sim.DefaultCore = sim.CoreSharded
+	defer func() { sim.DefaultCore = prev }()
+	var refTimes []sim.Time
+	var refDone sim.Time
+	var refSends uint64
+	for _, workers := range []int{1, 2, 4} {
+		cfg := Vanilla(8, 16, 3)
+		cfg.Network.Jitter = 2 * sim.Microsecond
+		cfg.Network.Latency = 12 * sim.Microsecond
+		cfg.IntraRunWorkers = workers
+		times, done, sends, c := allreduceTrace(t, cfg, calls)
+		if c.Group == nil {
+			t.Fatalf("workers=%d: build not sharded", workers)
+		}
+		if workers == 1 {
+			refTimes, refDone, refSends = times, done, sends
+			continue
+		}
+		if done != refDone || sends != refSends {
+			t.Fatalf("workers=%d: done=%v sends=%d, want %v/%d", workers, done, sends, refDone, refSends)
+		}
+		if len(times) != len(refTimes) {
+			t.Fatalf("workers=%d: %d calls recorded, want %d", workers, len(times), len(refTimes))
+		}
+		for i := range times {
+			if times[i] != refTimes[i] {
+				t.Fatalf("workers=%d: call %d took %v, want %v", workers, i, times[i], refTimes[i])
+			}
+		}
 	}
 }
 

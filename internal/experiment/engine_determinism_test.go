@@ -56,11 +56,6 @@ func TestEngineSwapBitIdentical(t *testing.T) {
 			t.Errorf("%s: output differs between wheel and sharded cores\n--- wheel ---\n%s\n--- sharded ---\n%s",
 				name, wheel, sharded)
 		}
-		optimistic := renderedWithCore(t, name, sim.CoreOptimistic)
-		if !bytes.Equal(wheel, optimistic) {
-			t.Errorf("%s: output differs between wheel and optimistic cores\n--- wheel ---\n%s\n--- optimistic ---\n%s",
-				name, wheel, optimistic)
-		}
 	}
 }
 

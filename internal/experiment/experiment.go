@@ -55,12 +55,6 @@ type Options struct {
 	// only wall-clock and its distribution across runs change. 0 and 1
 	// keep runs on the serial engine.
 	ShardWorkers int
-	// ShardNodeGroup, when > 0, maps this many nodes onto each event shard
-	// under the sharded and optimistic cores (cluster.Config.ShardNodeGroup),
-	// overriding the automatic nodes/(4*workers) coarsening heuristic. 0
-	// keeps the heuristic. Outputs are bit-identical at any grouping; only
-	// per-shard work granularity and snapshot/rollback scope change.
-	ShardNodeGroup int
 	// Progress, when non-nil, receives one line per completed run. Under
 	// parallelism > 1 the callback is invoked from worker goroutines but
 	// never concurrently (calls are serialized); line order across runs
@@ -104,9 +98,6 @@ func (o Options) validate() error {
 	}
 	if o.ShardWorkers < 0 {
 		return fmt.Errorf("experiment: ShardWorkers must be >= 0 (0/1 = serial engine)")
-	}
-	if o.ShardNodeGroup < 0 {
-		return fmt.Errorf("experiment: ShardNodeGroup must be >= 0 (0 = automatic grouping)")
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func Fig1NoiseOverlap(o Options) (*Table, error) {
 		}
 		buf := trace.NewBuffer(4 << 20)
 		buf.SkipTicks(true)
-		c.SetTraceSink(0, buf)
+		c.Nodes[0].SetSink(buf)
 		spec := workload.BSPSpec{
 			Steps:             600,
 			ComputeMean:       20 * sim.Millisecond,
@@ -244,7 +244,7 @@ func Fig4OutlierProfile(o Options) (*Table, error) {
 	buf := trace.NewBuffer(8 << 20)
 	buf.SkipTicks(true)
 	buf.FilterNode(0)
-	c.SetTraceSink(0, buf)
+	c.Nodes[0].SetSink(buf)
 
 	res, err := workload.RunAggregate(c, workload.AggregateSpec{Loops: 1, CallsPerLoop: calls, Compute: o.ComputeGrain}, 30*sim.Minute)
 	if err != nil {

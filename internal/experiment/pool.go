@@ -141,9 +141,6 @@ func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
 		if shard > 1 {
 			j.Cfg.IntraRunWorkers = shard
 		}
-		if o.ShardNodeGroup > 0 {
-			j.Cfg.ShardNodeGroup = o.ShardNodeGroup
-		}
 		c, err := buildCluster(j.Cfg)
 		if err != nil {
 			return runOut{}, err
@@ -187,16 +184,6 @@ func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
 			o.progress("%s nodes=%d seed=%d pdes windows=%d cross-events=%d cross-sends=%d avg-active-shards=%.1f barrier-stall=%.0fms",
 				j.Label, j.Nodes, j.SeedIdx, gs.Windows, gs.CrossShardEvents,
 				ns.CrossShardSends, avg, float64(gs.BarrierStallNs)/1e6)
-		}
-		if c.OptGroup != nil {
-			os := c.OptGroup.Stats()
-			o.progress("%s nodes=%d seed=%d timewarp rounds=%d gvt-waves=%d committed=%d committed-segs=%d speculated=%d rollbacks=%d rolled-back=%d anti-msgs=%d cross-events=%d window=%d barrier-stall=%.0fms",
-				j.Label, j.Nodes, j.SeedIdx, os.Rounds, os.GVTWaves, os.CommittedEvents,
-				os.CommittedSegments, os.SpeculatedEvents, os.Rollbacks, os.RolledBackEvents,
-				os.AntiMessages, os.CrossShardEvents, os.Window, float64(os.BarrierStallNs)/1e6)
-			o.progress("%s nodes=%d seed=%d snapshots save-bytes=%d restore-bytes=%d entries-saved=%d entries-skipped=%d",
-				j.Label, j.Nodes, j.SeedIdx, os.SnapSaveBytes, os.SnapRestoreBytes,
-				os.SnapEntriesSaved, os.SnapEntriesSkipped)
 		}
 		r := runOut{procs: c.Procs(), mean: sum.Mean, stddev: sum.Stddev}
 		if cp != nil {

@@ -17,7 +17,6 @@ const (
 )
 
 func (r *Rank) nextTagBase() int {
-	r.touch() // one pre-image covers every stage write of the same entry event
 	base := r.collSeq * tagsPerCollective
 	r.collSeq++
 	return base
@@ -95,29 +94,24 @@ func (r *Rank) collective() *collState {
 	if s.r == nil {
 		s.r = r
 		s.arExchanged = func(v float64) {
-			r.touch()
 			s.v = v
 			r.thread.Run(r.job.cfg.ReduceCost, s.arReduce)
 		}
 		s.arReduce = func() {
-			r.touch()
 			s.acc += s.v
 			s.k++
 			s.arRounds()
 		}
 		s.arFoldRecv = func(v float64) {
-			r.touch()
 			s.v = v
 			r.thread.Run(r.job.cfg.ReduceCost, s.arFoldAdd)
 		}
 		s.arFoldAdd = func() {
-			r.touch()
 			s.acc += s.v
 			s.k, s.eff = 0, effRank(r.id, s.rem)
 			s.arRounds()
 		}
 		s.arFinish = func() {
-			r.touch()
 			// Phase 3: distribute the result back to folded-out even ranks.
 			if r.id < 2*s.rem {
 				if r.id%2 == 0 {
@@ -132,13 +126,11 @@ func (r *Rank) collective() *collState {
 			then(acc)
 		}
 		s.arFinalRecv = func(v float64) {
-			r.touch()
 			then := s.then
 			s.then = nil
 			then(v)
 		}
 		s.arFinalSent = func() {
-			r.touch()
 			then, acc := s.then, s.acc
 			s.then = nil
 			then(acc)
@@ -149,7 +141,6 @@ func (r *Rank) collective() *collState {
 			r.Recv(from, s.base+tagRound0+s.k, s.bGot)
 		}
 		s.bGot = func(float64) {
-			r.touch()
 			s.k++
 			s.bRound()
 		}

@@ -109,34 +109,14 @@ type Rank struct {
 	failed    bool
 	failAbort func()
 
-	// Commit-deferred completion accounting. The job-wide counters are
-	// cross-shard atomics, so under the optimistic core they move only when
-	// the terminating event commits: doneAt/failLost/failMidColl stage the
-	// facts on the rank (rewound with it on rollback), and
-	// commitDone/commitFail are the pre-bound commit actions.
-	doneAt      sim.Time
-	failLost    bool
-	failMidColl bool
-	commitDone  func()
-	commitFail  func()
-
 	collSeq int
 	done    bool
-
-	// Dirty-tracking for the optimistic core's incremental checkpoints:
-	// shardSt is the owning node's jobState layer (nil off the optimistic
-	// core), snapEpoch the last layer epoch this rank's pre-image was logged
-	// under. See Rank.touch in state.go; every mutating path below runs it
-	// before the first write.
-	shardSt   *jobState
-	snapEpoch uint64
 }
 
 // bindHotPaths builds the per-rank continuations reused by every Send/Recv.
 // Called from Launch, once the rank array can no longer move.
 func (r *Rank) bindHotPaths() {
 	r.recvDone = func() {
-		r.touch()
 		then, v := r.recvThen, r.recvGot.value
 		r.recvThen = nil
 		then(v)
@@ -145,7 +125,6 @@ func (r *Rank) bindHotPaths() {
 		r.thread.Run(r.job.cfg.RecvOverhead, r.recvDone)
 	}
 	r.sendStep = func() {
-		r.touch()
 		dst, tag, then := r.sendDst, r.sendTag, r.sendThen
 		msg := message{value: r.sendValue, bytes: r.sendBytes}
 		r.sendThen = nil
@@ -160,14 +139,11 @@ func (r *Rank) bindHotPaths() {
 		then()
 	}
 	r.srRecvStep = func() {
-		r.touch()
 		then := r.srThen
 		r.srThen = nil
 		r.Recv(r.srPeer, r.srTag, then)
 	}
 	r.failAbort = func() { r.fail(false) }
-	r.commitDone = func() { r.job.commitRankDone(r) }
-	r.commitFail = func() { r.job.commitRankFail(r) }
 }
 
 // trySend pushes one logical message (identity idx) through the fault
@@ -176,37 +152,29 @@ func (r *Rank) bindHotPaths() {
 // drop when the budget is zero) is a fatal loss that aborts the whole job
 // after the detection latency. Only called when a fault model is installed.
 func (r *Rank) trySend(target *Rank, bytes int, idx uint64, deliver func()) {
-	r.sendAttempt(target, bytes, idx, 0, deliver)
-}
-
-// sendAttempt is one attempt of the retransmit chain. The attempt number
-// rides the recursion as a parameter rather than a closure-mutable counter:
-// under the optimistic core a rolled-back attempt re-executes, and a shared
-// counter would have advanced past it. Each retransmit allocates one small
-// continuation, which is fine — this path runs only under fault injection,
-// and only for dropped attempts.
-func (r *Rank) sendAttempt(target *Rank, bytes int, idx, attempt uint64, deliver func()) {
 	j := r.job
 	eng := r.node.Engine()
-	if r.failed {
-		return // the rank died while backing off
+	attempt := uint64(0)
+	var attemptFn func()
+	attemptFn = func() {
+		if r.failed {
+			return // the rank died while backing off
+		}
+		if !j.faults.DropMessage(eng.Now(), r.node.ID(), target.node.ID(), r.id, idx, attempt) {
+			j.fabric.Send(r.node.ID(), target.node.ID(), bytes, deliver)
+			return
+		}
+		j.fabric.Drop(r.node.ID(), target.node.ID(), bytes)
+		r.dropped++
+		if attempt >= uint64(j.cfg.SendRetries) {
+			j.abortFrom(eng)
+			return
+		}
+		attempt++
+		r.retries++
+		eng.After(j.cfg.SendTimeout<<(attempt-1), "mpi-retransmit", attemptFn)
 	}
-	if !j.faults.DropMessage(eng.Now(), r.node.ID(), target.node.ID(), r.id, idx, attempt) {
-		j.fabric.Send(r.node.ID(), target.node.ID(), bytes, deliver)
-		return
-	}
-	j.fabric.Drop(r.node.ID(), target.node.ID(), bytes)
-	r.touch()
-	r.dropped++
-	if attempt >= uint64(j.cfg.SendRetries) {
-		j.abortFrom(eng)
-		return
-	}
-	r.retries++
-	next := attempt + 1
-	eng.After(j.cfg.SendTimeout<<attempt, "mpi-retransmit", func() {
-		r.sendAttempt(target, bytes, idx, next, deliver)
-	})
+	attemptFn()
 }
 
 // fail terminates the rank abruptly: crash victim (lost=true) or collective
@@ -217,17 +185,20 @@ func (r *Rank) fail(lost bool) {
 	if r.done {
 		return
 	}
-	r.touch()
 	r.done = true
 	r.failed = true
-	r.failLost = lost
-	// Mid-collective: peers were counting on this rank's messages.
-	r.failMidColl = r.coll.then != nil || r.coll.bThen != nil
-	r.coll.then, r.coll.bThen = nil, nil
-	// The job-wide failure counters are cross-shard atomics; they move when
-	// this event commits (immediately on serial and conservative cores), so
-	// a rolled-back failure leaves no trace in them.
-	r.node.Engine().DeferToCommit(r.commitFail)
+	j := r.job
+	j.failed.Add(1)
+	if lost {
+		j.lostRanks.Add(1)
+	} else {
+		j.abortedRanks.Add(1)
+	}
+	if r.coll.then != nil || r.coll.bThen != nil {
+		// Mid-collective: peers were counting on this rank's messages.
+		j.collAborted.Add(1)
+		r.coll.then, r.coll.bThen = nil, nil
+	}
 	r.recvArmed = false
 	r.recvThen = nil
 	r.sendThen = nil
@@ -238,7 +209,7 @@ func (r *Rank) fail(lost bool) {
 	if r.thread.State() != kernel.StateExited {
 		r.thread.Kill()
 	}
-	r.job.rankDone(r)
+	j.rankDone(r)
 }
 
 // Failed reports whether the rank was terminated by a fault or abort.
@@ -277,7 +248,6 @@ func (r *Rank) Done() {
 	if r.done {
 		panic(fmt.Sprintf("mpi: rank %d Done twice", r.id))
 	}
-	r.touch()
 	r.done = true
 	r.job.rankDone(r)
 	r.thread.Exit()
@@ -338,7 +308,6 @@ func (r *Rank) Send(dst, tag int, value float64, bytes int, then func()) {
 	if dst < 0 || dst >= len(r.job.ranks) {
 		panic(fmt.Sprintf("mpi: rank %d Send to invalid rank %d", r.id, dst))
 	}
-	r.touch()
 	r.sendDst, r.sendTag, r.sendValue, r.sendBytes, r.sendThen = dst, tag, value, bytes, then
 	r.thread.Run(r.job.cfg.SendOverhead, r.sendStep)
 }
@@ -363,7 +332,6 @@ func (r *Rank) takePending(key msgKey) (message, bool) {
 // otherwise the task blocks (the progress engine and scheduler decide when
 // it runs again — this is precisely where OS noise injects latency).
 func (r *Rank) Recv(src, tag int, then func(value float64)) {
-	r.touch() // covers takePending's list shift and the arm/stage writes below
 	key := msgKey{src: src, tag: tag}
 	if msg, ok := r.takePending(key); ok {
 		r.recvGot, r.recvThen = msg, then
@@ -386,7 +354,6 @@ func (r *Rank) Recv(src, tag int, then func(value float64)) {
 // deliver runs at message arrival (interrupt context): hand the payload to
 // a matching blocked receive, or queue it as an early arrival.
 func (r *Rank) deliver(key msgKey, msg message) {
-	r.touch()
 	if r.recvArmed && r.recvKey == key {
 		r.recvArmed = false
 		r.recvGot = msg
@@ -403,7 +370,6 @@ func (r *Rank) deliver(key msgKey, msg message) {
 // SendRecv exchanges with a partner: post the send, then wait for the
 // partner's message (the building block of recursive doubling).
 func (r *Rank) SendRecv(peer, tag int, value float64, bytes int, then func(recv float64)) {
-	r.touch()
 	r.srPeer, r.srTag, r.srThen = peer, tag, then
 	r.Send(peer, tag, value, bytes, r.srRecvStep)
 }

@@ -33,12 +33,10 @@ func (r *Rank) sendVec(dst, tag int, vec []float64, then func()) {
 	copy(payload, vec)
 	bytes := len(vec) * r.job.cfg.ElemBytes
 	r.thread.Run(r.job.cfg.SendOverhead, func() {
-		r.touch()
 		r.p2pSends++
 		target := &r.job.ranks[dst]
 		key := msgKey{src: r.id, tag: tag}
 		deliver := func() {
-			target.touch() // runs on target's shard: side-table append dirties it
 			target.vecPending = append(target.vecPending, vecArrival{key: key, vec: payload})
 			target.deliver(key, message{bytes: bytes})
 		}
@@ -54,7 +52,6 @@ func (r *Rank) sendVec(dst, tag int, vec []float64, then func()) {
 func (r *Rank) recvVec(src, tag int, then func(vec []float64)) {
 	key := msgKey{src: src, tag: tag}
 	r.Recv(src, tag, func(float64) {
-		r.touch() // the side-table shift below mutates r in a later event
 		for i := range r.vecPending {
 			if r.vecPending[i].key == key {
 				vec := r.vecPending[i].vec
@@ -100,18 +97,14 @@ func (r *Rank) AllreduceVec(vec []float64, then func(sums []float64)) {
 }
 
 // rdAllreduceVec is recursive doubling over whole vectors, with the usual
-// non-power-of-two fold. Each combine builds a fresh accumulator instead of
-// adding in place: under the optimistic core a rolled-back round re-executes,
-// and an in-place += on a closure-shared vector would double-count. With the
-// working vector riding the recursion as a parameter, every continuation is
-// a pure function of its inputs and re-execution is harmless.
+// non-power-of-two fold.
 func (r *Rank) rdAllreduceVec(acc []float64, then func([]float64)) {
 	n := r.Size()
 	base := r.nextTagBase()
 	p2 := floorPow2(n)
 	rem := n - p2
 
-	finish := func(acc []float64) {
+	finish := func() {
 		if r.id < 2*rem {
 			if r.id%2 == 0 {
 				r.recvVec(r.id+1, base+tagFinal, func(v []float64) { then(v) })
@@ -123,20 +116,18 @@ func (r *Rank) rdAllreduceVec(acc []float64, then func([]float64)) {
 		then(acc)
 	}
 
-	var rounds func(k, eff int, acc []float64)
-	rounds = func(k, eff int, acc []float64) {
+	var rounds func(k, eff int)
+	rounds = func(k, eff int) {
 		if 1<<k >= p2 {
-			finish(acc)
+			finish()
 			return
 		}
 		peer := realRank(eff^(1<<k), rem)
 		r.sendVec(peer, base+tagRound0+k, acc, func() {
 			r.recvVec(peer, base+tagRound0+k, func(v []float64) {
 				r.thread.Run(r.reduceCostFor(len(acc)), func() {
-					sum := make([]float64, len(acc))
-					copy(sum, acc)
-					vecAdd(sum, v)
-					rounds(k+1, eff, sum)
+					vecAdd(acc, v)
+					rounds(k+1, eff)
 				})
 			})
 		})
@@ -144,20 +135,18 @@ func (r *Rank) rdAllreduceVec(acc []float64, then func([]float64)) {
 
 	if r.id < 2*rem {
 		if r.id%2 == 0 {
-			r.sendVec(r.id+1, base+tagFold, acc, func() { finish(acc) })
+			r.sendVec(r.id+1, base+tagFold, acc, finish)
 			return
 		}
 		r.recvVec(r.id-1, base+tagFold, func(v []float64) {
 			r.thread.Run(r.reduceCostFor(len(acc)), func() {
-				sum := make([]float64, len(acc))
-				copy(sum, acc)
-				vecAdd(sum, v)
-				rounds(0, effRank(r.id, rem), sum)
+				vecAdd(acc, v)
+				rounds(0, effRank(r.id, rem))
 			})
 		})
 		return
 	}
-	rounds(0, effRank(r.id, rem), acc)
+	rounds(0, effRank(r.id, rem))
 }
 
 // rabenseifnerAllreduceVec implements the long-vector algorithm for
@@ -167,25 +156,18 @@ func (r *Rank) rdAllreduceVec(acc []float64, then func([]float64)) {
 func (r *Rank) rabenseifnerAllreduceVec(acc []float64, then func([]float64)) {
 	n := r.Size()
 	base := r.nextTagBase()
+	// Span [lo, hi) of elements this rank still owns in the reduce-scatter.
+	lo, hi := 0, len(acc)
 
-	nRounds := 0
-	for 1<<nRounds < n {
-		nRounds++
-	}
+	var gather func(k int, glo, ghi int)
+	var scatter func(k int)
 
-	var gather func(k, glo, ghi int, cur []float64)
-	var scatter func(k, lo, hi int, cur []float64)
-
-	// The owned span [lo, hi) and the working vector ride the recursion as
-	// parameters, and each combine builds a fresh vector — see rdAllreduceVec
-	// on why closure-mutable spans and in-place accumulation cannot survive
-	// optimistic re-execution.
-	scatter = func(k, lo, hi int, cur []float64) {
+	scatter = func(k int) {
 		bit := n >> (k + 1) // partner distance halves each round
 		if bit == 0 {
 			// Reduce-scatter done: this rank holds the global sums for
 			// [lo, hi). Gather rounds mirror the scatter in reverse.
-			gather(0, lo, hi, cur)
+			gather(0, lo, hi)
 			return
 		}
 		peer := r.id ^ bit
@@ -196,21 +178,24 @@ func (r *Rank) rabenseifnerAllreduceVec(acc []float64, then func([]float64)) {
 		} else {
 			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
 		}
-		r.sendVec(peer, base+tagRound0+k, cur[sendLo:sendHi], func() {
+		r.sendVec(peer, base+tagRound0+k, acc[sendLo:sendHi], func() {
 			r.recvVec(peer, base+tagRound0+k, func(v []float64) {
 				r.thread.Run(r.reduceCostFor(len(v)), func() {
-					next := make([]float64, len(cur))
-					copy(next, cur)
-					vecAdd(next[keepLo:keepHi], v)
-					scatter(k+1, keepLo, keepHi, next)
+					vecAdd(acc[keepLo:keepHi], v)
+					lo, hi = keepLo, keepHi
+					scatter(k + 1)
 				})
 			})
 		})
 	}
 
-	gather = func(k, glo, ghi int, cur []float64) {
-		if k == nRounds {
-			then(cur)
+	rounds := 0
+	for 1<<rounds < n {
+		rounds++
+	}
+	gather = func(k int, glo, ghi int) {
+		if k == rounds {
+			then(acc)
 			return
 		}
 		bit := 1 << k
@@ -223,18 +208,16 @@ func (r *Rank) rabenseifnerAllreduceVec(acc []float64, then func([]float64)) {
 		} else {
 			peerLo = glo - span
 		}
-		r.sendVec(peer, base+32+k, cur[glo:ghi], func() {
+		r.sendVec(peer, base+32+k, acc[glo:ghi], func() {
 			r.recvVec(peer, base+32+k, func(v []float64) {
-				next := make([]float64, len(cur))
-				copy(next, cur)
-				copy(next[peerLo:peerLo+len(v)], v)
+				copy(acc[peerLo:peerLo+len(v)], v)
 				nlo := glo
 				if peerLo < glo {
 					nlo = peerLo
 				}
-				gather(k+1, nlo, nlo+2*span, next)
+				gather(k+1, nlo, nlo+2*span)
 			})
 		})
 	}
-	scatter(0, 0, len(acc), acc)
+	scatter(0)
 }

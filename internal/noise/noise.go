@@ -154,16 +154,6 @@ type Set struct {
 	specs   []DaemonSpec
 	daemons []*kernel.Thread
 	gens    []int
-
-	// Mutable random-stream and interrupt-source state, held on the Set (not
-	// in closures) so the optimistic core's ShardState can rewind draw
-	// counters and batch cursors on rollback.
-	rngs []*sim.CounterRand
-	irqs []*irqSource
-
-	// shardSt is the optimistic core's checkpoint view; nil under serial
-	// and conservative cores. See state.go.
-	shardSt *setState
 }
 
 // Attach launches the configured daemons, cron job and interrupt sources on
@@ -210,16 +200,14 @@ func (s *Set) launchDaemon(spec DaemonSpec, idx, gen, homeCPU int) *kernel.Threa
 	// (gen > 0) get their own stream so a restart never replays or shifts
 	// the original sequence; gen 0 keeps the historical key so fault-free
 	// runs stay bit-identical.
-	rng := new(sim.CounterRand)
+	var rng sim.CounterRand
 	if gen == 0 {
-		*rng = s.node.Engine().CounterRand("noise-daemon", uint64(s.node.ID()), uint64(idx))
+		rng = s.node.Engine().CounterRand("noise-daemon", uint64(s.node.ID()), uint64(idx))
 	} else {
-		*rng = s.node.Engine().CounterRand("noise-daemon-r", uint64(s.node.ID()), uint64(idx), uint64(gen))
+		rng = s.node.Engine().CounterRand("noise-daemon-r", uint64(s.node.ID()), uint64(idx), uint64(gen))
 	}
-	s.rngs = append(s.rngs, rng)
 	var cycle func()
 	cycle = func() {
-		s.touch() // the draws below advance this daemon's stream
 		if s.stopped {
 			th.Exit()
 			return
@@ -229,7 +217,6 @@ func (s *Set) launchDaemon(spec DaemonSpec, idx, gen, homeCPU int) *kernel.Threa
 			burst += spec.PageFaultCost
 		}
 		th.Run(burst, func() {
-			s.touch() // the period draw runs in a later event than cycle's
 			th.Sleep(rng.Jitter(spec.Period, spec.PeriodJitter), cycle)
 		})
 	}
@@ -261,7 +248,6 @@ func (s *Set) Respawn(idx int) *kernel.Thread {
 	if cur := s.daemons[idx]; cur != nil && cur.State() != kernel.StateExited {
 		return nil
 	}
-	s.touch() // generation bump plus launchDaemon's thread/rng appends
 	s.gens[idx]++
 	th := s.launchDaemon(s.specs[idx], idx, s.gens[idx], idx%s.node.NumCPUs())
 	s.daemons[idx] = th
@@ -278,7 +264,6 @@ func (s *Set) launchCron(spec CronSpec) {
 	s.threads = append(s.threads, th)
 	var cycle func()
 	cycle = func() {
-		s.touch()
 		if s.stopped {
 			th.Exit()
 			return
@@ -352,7 +337,6 @@ func (s *Set) launchInterrupts(spec InterruptSpec, idx, batch int) {
 	eng := s.node.Engine()
 	src := &irqSource{set: s, spec: spec, batch: batch,
 		rng: eng.CounterRand("noise-irq", uint64(s.node.ID()), uint64(idx))}
-	s.irqs = append(s.irqs, src)
 	if batch > 1 {
 		src.refill()
 	}
@@ -360,7 +344,6 @@ func (s *Set) launchInterrupts(spec InterruptSpec, idx, batch int) {
 		if s.stopped {
 			return sim.RecurStop
 		}
-		s.touch() // nextCPU/nextGap advance the source's cursor and stream
 		s.node.InjectInterrupt(src.nextCPU(), spec.HandlerCost)
 		return eng.Now() + src.nextGap()
 	})
@@ -369,7 +352,6 @@ func (s *Set) launchInterrupts(spec InterruptSpec, idx, batch int) {
 // Stop halts all noise immediately: daemon threads are killed in whatever
 // state they are in and interrupt sources disarm at their next firing.
 func (s *Set) Stop() {
-	s.touch()
 	s.stopped = true
 	for _, th := range s.threads {
 		if th.State() != kernel.StateExited {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -39,23 +40,22 @@ type fireRec struct {
 	id    int
 }
 
-// diffShardState is one logical shard's bookkeeping, including its own fire
-// log. It is only ever touched from that shard's events, so its evolution
-// is identical whether the shards share one engine or run on a group — and
-// per-shard logs need no locking under parallel execution and truncate
-// per-shard under optimistic rollback.
-type diffShardState struct {
+// diffBook is one logical shard's bookkeeping. It is only ever
+// touched from that shard's events, so its evolution is identical whether
+// the shards share one engine or run on a group.
+type diffBook struct {
 	n       int // per-shard slot/id counter
-	ticks   int // recurring-tick counter (was a closure variable; rollback must rewind it)
 	ids     []int
 	pending map[int]*Event
-	log     []fireRec
 }
 
 type diffHarness struct {
 	seed    uint64
 	engines []*Engine // engine carrying each logical shard (may all be one)
-	state   [diffShards]*diffShardState
+	state   [diffShards]*diffBook
+
+	mu  sync.Mutex
+	log []fireRec
 
 	stopAtID int // fire Stop when this event id fires (-1 = never)
 }
@@ -63,7 +63,7 @@ type diffHarness struct {
 func newDiffHarness(seed uint64, engines []*Engine, stopAtID int) *diffHarness {
 	d := &diffHarness{seed: seed, engines: engines, stopAtID: stopAtID}
 	for s := range d.state {
-		d.state[s] = &diffShardState{pending: map[int]*Event{}}
+		d.state[s] = &diffBook{pending: map[int]*Event{}}
 	}
 	return d
 }
@@ -113,11 +113,13 @@ func (d *diffHarness) scheduleCross(src, dst int, q Time, h uint64) {
 func (d *diffHarness) fired(shard, id int) {
 	e := d.engines[shard]
 	now := e.Now()
-	st := d.state[shard]
-	st.log = append(st.log, fireRec{now, shard, id})
+	d.mu.Lock()
+	d.log = append(d.log, fireRec{now, shard, id})
+	d.mu.Unlock()
 	if id == d.stopAtID {
 		e.Stop()
 	}
+	st := d.state[shard]
 	if _, ok := st.pending[id]; ok {
 		delete(st.pending, id)
 		for i, v := range st.ids {
@@ -163,12 +165,14 @@ func (d *diffHarness) seedWork() {
 			d.scheduleLocal(s, 0, mix(d.seed, uint64(1000+s*10+i)))
 		}
 		id, slot := d.alloc(s)
+		ticks := 0
 		d.engines[s].Recur(diffU+slot, "tick", func() Time {
 			e := d.engines[s]
-			st := d.state[s]
-			st.log = append(st.log, fireRec{e.Now(), s, id})
-			st.ticks++
-			if st.ticks >= 40 || st.n >= diffCap {
+			d.mu.Lock()
+			d.log = append(d.log, fireRec{e.Now(), s, id})
+			d.mu.Unlock()
+			ticks++
+			if ticks >= 40 || d.state[s].n >= diffCap {
 				return RecurStop
 			}
 			_, slot := d.alloc(s)
@@ -177,24 +181,10 @@ func (d *diffHarness) seedWork() {
 	}
 }
 
-// sortedLog merges the per-shard fire logs, ordered by when (globally
-// unique by construction).
+// sortedLog returns the fire log ordered by when (globally unique).
 func (d *diffHarness) sortedLog() []fireRec {
-	var log []fireRec
-	for _, st := range d.state {
-		log = append(log, st.log...)
-	}
-	sort.Slice(log, func(i, j int) bool { return log[i].when < log[j].when })
-	return log
-}
-
-// logLen sums the per-shard fire logs.
-func (d *diffHarness) logLen() int {
-	n := 0
-	for _, st := range d.state {
-		n += len(st.log)
-	}
-	return n
+	sort.Slice(d.log, func(i, j int) bool { return d.log[i].when < d.log[j].when })
+	return d.log
 }
 
 // runSerial drives the workload on one engine of the given core, with all
@@ -330,7 +320,7 @@ func TestShardGroupStats(t *testing.T) {
 	if st.ActiveShardWindows < st.Windows {
 		t.Errorf("active shard-windows %d < windows %d", st.ActiveShardWindows, st.Windows)
 	}
-	if g.Fired() != uint64(d.logLen()) {
-		t.Errorf("group fired %d, log has %d", g.Fired(), d.logLen())
+	if g.Fired() != uint64(len(d.log)) {
+		t.Errorf("group fired %d, log has %d", g.Fired(), len(d.log))
 	}
 }

@@ -36,11 +36,8 @@ type AggregateSpec struct {
 	// the synthetic benchmark. Zero keeps compute constant (the paper's
 	// benchmark) and the draw-free historical behavior.
 	ComputeJitter sim.Time
-	// Tracer receives the marks (may be nil). On the optimistic engine core
-	// pass the Marker returned by Cluster.SetTraceSink so marks emitted by
-	// rolled-back speculation are discarded; a bare *trace.Buffer satisfies
-	// the interface on the other cores.
-	Tracer trace.Marker
+	// Tracer receives the marks (may be nil).
+	Tracer *trace.Buffer
 	// Stream, when non-nil, receives each timed call's wall time (rank 0's
 	// clock, microseconds) as it completes, and the result retains no
 	// per-call slices: TimesUS and Starts stay empty. The huge sweep tier
@@ -91,110 +88,6 @@ type AggregateResult struct {
 	Completed bool
 }
 
-// aggCounterState checkpoints one node's per-rank call counters for the
-// optimistic core: counters is a window into the run-wide slice covering the
-// node's ranks, and a rollback copies the saved values back in place so the
-// pointers held by rank closures stay valid.
-type aggCounterState struct {
-	counters []int
-	pool     []*aggCounterSnap
-}
-
-type aggCounterSnap struct{ vals []int }
-
-func (a *aggCounterState) Save() any {
-	var s *aggCounterSnap
-	if k := len(a.pool); k > 0 {
-		s = a.pool[k-1]
-		a.pool[k-1] = nil
-		a.pool = a.pool[:k-1]
-	} else {
-		s = &aggCounterSnap{vals: make([]int, 0, len(a.counters))}
-	}
-	s.vals = append(s.vals[:0], a.counters...)
-	return s
-}
-
-func (a *aggCounterState) Restore(snap any) { copy(a.counters, snap.(*aggCounterSnap).vals) }
-
-func (a *aggCounterState) Release(snap any) { a.pool = append(a.pool, snap.(*aggCounterSnap)) }
-
-// aggRank0 holds the measurement state only rank 0 touches: the call start
-// time and the result's per-call records. Under the optimistic core it is a
-// rollback layer on rank 0's shard; streamed timings are staged with their
-// timestamps and flushed to spec.Stream only once their time commits
-// (sim.ShardCommitter), so the consumer never sees a rolled-back call.
-type aggRank0 struct {
-	spec *AggregateSpec
-	res  *AggregateResult
-	t0   sim.Time
-	// stage buffers Stream calls when the run speculates; nil-disabled on the
-	// serial and conservative cores, where Stream fires directly.
-	staging bool
-	staged  []aggStreamRec
-	pool    []*aggRank0Snap
-}
-
-type aggStreamRec struct {
-	at sim.Time
-	i  int
-	us float64
-}
-
-type aggRank0Snap struct {
-	t0                       sim.Time
-	nStarts, nTimes, nStaged int
-}
-
-func (a *aggRank0) stream(i int, at sim.Time, us float64) {
-	if !a.staging {
-		a.spec.Stream(i, us)
-		return
-	}
-	a.staged = append(a.staged, aggStreamRec{at: at, i: i, us: us})
-}
-
-func (a *aggRank0) Save() any {
-	var s *aggRank0Snap
-	if k := len(a.pool); k > 0 {
-		s = a.pool[k-1]
-		a.pool[k-1] = nil
-		a.pool = a.pool[:k-1]
-	} else {
-		s = &aggRank0Snap{}
-	}
-	s.t0 = a.t0
-	s.nStarts = len(a.res.Starts)
-	s.nTimes = len(a.res.TimesUS)
-	s.nStaged = len(a.staged)
-	return s
-}
-
-func (a *aggRank0) Restore(snap any) {
-	s := snap.(*aggRank0Snap)
-	a.t0 = s.t0
-	a.res.Starts = a.res.Starts[:s.nStarts]
-	a.res.TimesUS = a.res.TimesUS[:s.nTimes]
-	a.staged = a.staged[:s.nStaged]
-}
-
-func (a *aggRank0) Release(snap any) { a.pool = append(a.pool, snap.(*aggRank0Snap)) }
-
-// CommitUpTo flushes staged stream records whose time can no longer roll
-// back. Rank 0 executes in nondecreasing time, so the flush is a prefix.
-func (a *aggRank0) CommitUpTo(t sim.Time) {
-	i := 0
-	for i < len(a.staged) && a.staged[i].at < t {
-		a.spec.Stream(a.staged[i].i, a.staged[i].us)
-		i++
-	}
-	if i == 0 {
-		return
-	}
-	rest := copy(a.staged, a.staged[i:])
-	a.staged = a.staged[:rest]
-}
-
 // RunAggregate executes the benchmark on a built cluster and collects
 // timings. The horizon bounds runaway configurations.
 func RunAggregate(c *cluster.Cluster, spec AggregateSpec, horizon sim.Time) (AggregateResult, error) {
@@ -207,21 +100,7 @@ func RunAggregate(c *cluster.Cluster, spec AggregateSpec, horizon sim.Time) (Agg
 		res.TimesUS = make([]float64, 0, total)
 	}
 	src := c.Eng.Source()
-
-	// Per-rank call counters live in one slice indexed by rank ID instead of
-	// closure variables: the optimistic core checkpoints each node's window
-	// through a rollback layer, and a rolled-back `i++` must be undone rather
-	// than replayed. Behavior on the other cores is unchanged.
-	counters := make([]int, c.Procs())
-	run := &aggRank0{spec: &spec, res: &res}
-	if c.OptGroup != nil {
-		tpn := c.Config.TasksPerNode
-		for ni, n := range c.Nodes {
-			n.Engine().AddShardState(&aggCounterState{counters: counters[ni*tpn : (ni+1)*tpn]})
-		}
-		run.staging = spec.Stream != nil
-		c.Nodes[0].Engine().AddShardState(run)
-	}
+	var t0 sim.Time
 
 	mark := func(r *mpi.Rank, i int, phase string) {
 		if spec.Tracer != nil && spec.TraceEvery > 0 && r.ID() == 0 && i%spec.TraceEvery == 0 {
@@ -230,43 +109,44 @@ func RunAggregate(c *cluster.Cluster, spec AggregateSpec, horizon sim.Time) (Agg
 	}
 
 	// Each rank's loop is driven by three continuations bound once per rank
-	// (not per call): the call counter lives behind a stable pointer, so a
+	// (not per call): the call counter lives in the closure environment, so a
 	// full-size run allocates O(ranks) control state instead of O(calls).
+	// They read the spec through sp: a by-value capture would copy the whole
+	// spec into each of them.
+	sp := &spec
 	program := func(r *mpi.Rank) {
-		ctr := &counters[r.ID()]
+		var i int
 		var call, body func()
 		var after func(float64)
 		body = func() {
-			i := *ctr
 			mark(r, i, "begin")
 			if r.ID() == 0 {
-				run.t0 = r.Now()
-				if spec.Stream == nil {
-					res.Starts = append(res.Starts, run.t0)
+				t0 = r.Now()
+				if sp.Stream == nil {
+					res.Starts = append(res.Starts, t0)
 				}
 			}
 			r.Allreduce(float64(i), after)
 		}
 		after = func(float64) {
-			i := *ctr
 			if r.ID() == 0 {
-				if spec.Stream != nil {
-					run.stream(i, r.Now(), (r.Now() - run.t0).Micros())
+				if sp.Stream != nil {
+					sp.Stream(i, (r.Now() - t0).Micros())
 				} else {
-					res.TimesUS = append(res.TimesUS, (r.Now() - run.t0).Micros())
+					res.TimesUS = append(res.TimesUS, (r.Now() - t0).Micros())
 				}
 			}
 			mark(r, i, "end")
-			*ctr = i + 1
+			i++
 			call()
 		}
 		call = func() {
-			if *ctr == total {
+			if i == total {
 				r.Done()
 				return
 			}
-			if spec.Compute > 0 {
-				r.Compute(spec.WorkFor(src, r.ID(), *ctr), body)
+			if sp.Compute > 0 {
+				r.Compute(sp.WorkFor(src, r.ID(), i), body)
 			} else {
 				body()
 			}
@@ -275,10 +155,6 @@ func RunAggregate(c *cluster.Cluster, spec AggregateSpec, horizon sim.Time) (Agg
 	}
 
 	wall, ok := c.Launch(program, horizon)
-	if run.staging {
-		// The run is over; everything still staged is committed by now.
-		run.CommitUpTo(sim.Forever)
-	}
 	res.Wall = wall
 	res.Completed = ok
 	return res, nil
