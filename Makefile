@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-sharded bench bench-engine bench-pdes bench-mem bench-check huge huge-smoke fault-smoke profile check
+.PHONY: build test vet race race-sharded bench bench-record bench-check huge huge-smoke fault-smoke profile check
 
 build:
 	$(GO) build ./...
@@ -30,38 +30,22 @@ race-sharded:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# bench-engine regenerates results/bench_engine.json: the two acceptance
-# scenarios plus the engine micro-benchmarks, each measured under the
-# timer-wheel core and the reference heap core in one process, with the
-# recorded pre-change numbers (results/bench_baseline.json) merged in.
-bench-engine:
-	mkdir -p results
-	$(GO) run ./cmd/enginebench -baseline results/bench_baseline.json -o results/bench_engine.json
+# bench-record re-measures every cmd/enginebench scenario into
+# results/bench.json: events/s, ns/event, bytes/event and allocs/event per
+# scenario, engine core and intra-run worker count, plus wall time per run
+# for whole-cluster scenarios and window statistics for sharded ones. The
+# file names the machine and GOMAXPROCS it was measured on; record on the
+# machine bench-check will run on.
+bench-record:
+	$(GO) run ./cmd/enginebench -mode record
 
-# bench-pdes regenerates results/bench_pdes.json: the full-cluster scenarios
-# measured serially and on the sharded conservative-window core at 2 and 4
-# intra-run workers, with window statistics.
-bench-pdes:
-	mkdir -p results
-	$(GO) run ./cmd/enginebench -mode pdes -o results/bench_pdes.json
-
-# bench-mem regenerates results/bench_mem.json: bytes and allocations per
-# simulated event on the cluster scenarios (including a 256-node one), plus
-# testing.AllocsPerOp-style micro-benchmarks of the MPI hot path and the
-# sharded window loop, compared against the recorded pre-flattening numbers
-# (results/bench_mem_baseline.json).
-bench-mem:
-	mkdir -p results
-	$(GO) run ./cmd/enginebench -mode mem -mem-baseline results/bench_mem_baseline.json -o results/bench_mem.json
-
-# bench-check is the CI perf guard: re-measure the two acceptance scenarios
-# wheel-only and fail if either loses more than 25% events/s against the
-# committed results/bench_engine.json; guard the serial throughput of the
-# pdes scenarios (plain and jittered) against results/bench_pdes.json; then
-# guard bytes-per-event on the same scenarios against the committed
-# results/bench_mem.json (fail on >20% allocation growth).
+# bench-check is the CI perf guard: re-measure the guarded wheel-core rows
+# (events/s of cluster-8, node-tick-heavy and jitter-8, bytes/event of
+# cluster-8 and jitter-8) and fail if any events/s fell more than 25% or any
+# bytes/event rose more than 20% against results/bench.json. Every guard is
+# reported before it exits.
 bench-check:
-	$(GO) run ./cmd/enginebench -mode check -against results/bench_engine.json -pdes-against results/bench_pdes.json -mem-against results/bench_mem.json
+	$(GO) run ./cmd/enginebench -mode check
 
 # huge runs the extended scaling tier: the Allreduce sweep carried to 1024
 # sixteen-way nodes (16384 ranks) on the sharded conservative-window core,

@@ -10,9 +10,9 @@ import (
 // allocation cost: 16 ranks over 4 quiet nodes run b.N back-to-back
 // recursive-doubling Allreduces, with cluster construction excluded by the
 // timer reset. This is the test-suite twin of the "mpi-allreduce-steady"
-// entry in results/bench_mem.json (cmd/enginebench -mode mem); run with
-// -benchmem to see allocs/op. The pending-list matching, embedded collective
-// state and pooled delivery records exist to hold this near zero.
+// row in results/bench.json (make bench-record); run with -benchmem to see
+// allocs/op. The pending-list matching, embedded collective state and
+// pooled delivery records exist to hold this near zero.
 func BenchmarkMPIAllreduceSteadyAllocs(b *testing.B) {
 	eng, job := testCluster(b, 1, 16, 4, quietConfig())
 	job.OnComplete(eng.Stop)

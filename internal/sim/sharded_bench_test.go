@@ -6,8 +6,8 @@ import "testing"
 // machinery's steady-state allocation cost: 4 shards under 2 workers, each
 // carrying a dense self-rescheduling event chain plus a cross-shard send
 // every 4th firing, driven for b.N window-lengths of simulated time. This is
-// the test-suite twin of the "sharded-window-loop" entry in
-// results/bench_mem.json (cmd/enginebench -mode mem); run with -benchmem.
+// the test-suite twin of the "sharded-window-loop" row in
+// results/bench.json (make bench-record); run with -benchmem.
 // Window dispatch, outbox staging and the canonical merge all reuse their
 // backing storage, so allocs/op should stay flat as b.N grows.
 func BenchmarkShardedWindowAllocs(b *testing.B) {
