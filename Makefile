@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-sharded bench bench-record bench-check huge huge-smoke fault-smoke profile check
+.PHONY: build test vet race race-sharded bench bench-record bench-check huge huge-smoke fault-smoke fuzz profile check
 
 build:
 	$(GO) build ./...
@@ -48,15 +48,14 @@ bench-check:
 	$(GO) run ./cmd/enginebench -mode check
 
 # huge runs the extended scaling tier: the Allreduce sweep carried to 1024
-# sixteen-way nodes (16384 ranks) on the sharded conservative-window core,
-# with per-call timings streamed through online accumulators instead of
-# retained. GOMAXPROCS is pinned so the intra-run worker budget is honored
-# even on small CI boxes.
+# sixteen-way nodes (16384 ranks) on the sharded conservative-window core.
+# GOMAXPROCS is pinned so the intra-run worker budget is honored even on
+# small CI boxes.
 huge:
 	GOMAXPROCS=4 $(GO) run ./cmd/parsim run huge -huge -procs 4 -shard-procs 4 -v
 
 # huge-smoke is the fast tier-1 variant of the same path: reduced node count,
-# still sharded, still streamed.
+# still sharded.
 huge-smoke:
 	GOMAXPROCS=2 $(GO) run ./cmd/parsim run huge -nodes 64 -calls 8 -seeds 1 -procs 2 -shard-procs 2
 
@@ -69,6 +68,18 @@ huge-smoke:
 fault-smoke:
 	$(GO) test -race -count=1 -run 'Fault|Quarantine|Supervisor|Respawn|Checkpoint|Panic|Deadline' ./internal/...
 	GOMAXPROCS=2 $(GO) run ./cmd/parsim run abl-fault -nodes 4 -calls 24 -seeds 1 -procs 2 -shard-procs 2
+
+# fuzz runs every native fuzz target for 10s each: the /etc/poe.priority
+# parser, the sweep checkpoint reader and parsim's interleaved flag parser.
+# Their seed corpora also run under plain `go test`; a crasher the fuzzer
+# finds is saved under the package's testdata/fuzz and then runs there too.
+# Minimizing each new input is capped at 200 runs: uncapped, shrinking one
+# input grown from the 64 KiB admin-file seed takes the whole 10s.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 200x
+fuzz:
+	$(FUZZ) -fuzz '^FuzzParseAdminFile$$' ./internal/cosched/
+	$(FUZZ) -fuzz '^FuzzOpenCheckpoint$$' ./internal/experiment/
+	$(FUZZ) -fuzz '^FuzzParseInterleaved$$' ./cmd/parsim/
 
 # profile runs a representative sweep under the CPU and allocation profilers
 # and prints the top CPU consumers. Inspect interactively with

@@ -57,7 +57,7 @@ func run() int {
 		shardProcs := fs.Int("shard-procs", 0, "workers per single run on the sharded engine core (carved out of -procs; 0/1 = serial engine per run)")
 		csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 		verbose := fs.Bool("v", false, "print per-run progress")
-		checkpoint := fs.String("checkpoint", "", "append per-run results to this JSONL file as the sweep progresses")
+		checkpoint := fs.String("checkpoint", "", "append aggregate-benchmark run results to this JSONL file as the sweep progresses")
 		resume := fs.Bool("resume", false, "replay completed runs from the -checkpoint file instead of re-simulating them")
 		runDeadline := fs.Duration("run-deadline", 0, "wall-clock budget per simulation run; over-budget runs are quarantined")
 		cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -247,8 +247,8 @@ usage:
 
 flags for run/all (may precede or follow experiment names):
   -full        paper-size runs (59+ nodes)
-  -huge        huge-tier runs (1024 nodes / 16384 procs, streamed results;
-               defaults -shard-procs to 4 so runs use the sharded core)
+  -huge        huge-tier runs (1024 nodes / 16384 procs; defaults
+               -shard-procs to 4 so runs use the sharded core)
   -nodes N     override max node count
   -calls N     override Allreduce calls per point
   -seeds N     override seeds per point
@@ -259,17 +259,20 @@ flags for run/all (may precede or follow experiment names):
                core (per-node event shards, conservative time windows).
                Carved out of the -procs budget: sweep-level workers become
                procs/shard-procs, so the total never exceeds -procs.
-               0 or 1 runs each simulation on the serial engine. Outputs
-               are bit-identical at any setting.
+               0 or 1 runs each simulation on the serial engine. Applies
+               to every experiment (single-node runs stay serial).
+               Outputs are bit-identical at any setting.
   -csv         CSV output
   -v           progress on stderr (includes per-run pdes window stats
                when -shard-procs is active)
-  -checkpoint FILE   append per-run results to FILE (JSONL) as they finish
+  -checkpoint FILE   append each aggregate-benchmark run's result (the
+               Allreduce-timing sweeps; not the runs of fig1, fig4, t3, t5,
+               abl-hints, abl-fault or t4's noise half) to FILE (JSONL)
   -resume      with -checkpoint: replay completed runs from FILE and only
                simulate the missing ones (same sweep options required)
-  -run-deadline DUR  wall-clock budget per simulation run (e.g. 90s, 5m);
-               a run over budget is quarantined ("-" in the table) instead
-               of hanging the sweep
+  -run-deadline DUR  wall-clock budget per simulation run of every
+               experiment (e.g. 90s, 5m); a run over budget is quarantined
+               ("-" in the table) instead of hanging the sweep
   -cpuprofile FILE   write a pprof CPU profile of the run
   -memprofile FILE   write a pprof allocation profile at exit`)
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"flag"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 func newTestFlagSet() (*flag.FlagSet, *bool, *int) {
@@ -49,4 +52,51 @@ func TestParseInterleavedBadFlag(t *testing.T) {
 	if _, err := parseInterleaved(fs, []string{"fig3", "-nope"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+}
+
+// FuzzParseInterleaved checks the interleaved flag parser on arbitrary
+// space-separated argument lists: it must terminate, and every name it
+// returns must be one of the input tokens.
+func FuzzParseInterleaved(f *testing.F) {
+	for _, seed := range []string{
+		"fig3 -full", "-full fig3 -seeds 5 t2 t3", "-full -seeds=2", "-", "--", "-- -full fig3",
+		"fig3  t2", "fig3 -nope", "-seeds", "-seeds x", "-h", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		var args []string
+		if line != "" {
+			args = strings.Split(line, " ")
+		}
+		fs, _, _ := newTestFlagSet()
+		fs.SetOutput(io.Discard)
+		type result struct {
+			names []string
+			err   error
+		}
+		done := make(chan result, 1)
+		go func() {
+			names, err := parseInterleaved(fs, args)
+			done <- result{names, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("parseInterleaved(%q) did not terminate", args)
+		}
+		if r.err != nil {
+			return
+		}
+		tokens := make(map[string]bool, len(args))
+		for _, a := range args {
+			tokens[a] = true
+		}
+		for _, n := range r.names {
+			if !tokens[n] {
+				t.Fatalf("parseInterleaved(%q) returned %q, not an input token", args, n)
+			}
+		}
+	})
 }

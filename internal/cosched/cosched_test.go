@@ -1,6 +1,7 @@
 package cosched
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -21,6 +22,7 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.Period = 0 },
 		func(p *Params) { p.Duty = 0 },
 		func(p *Params) { p.Duty = 1.0 }, // starvation refused
+		func(p *Params) { p.Duty = math.NaN() },
 		func(p *Params) { p.Favored = p.Unfavored },
 		func(p *Params) { p.SelfPriority = p.Favored },
 		func(p *Params) { p.AdjustCost = -1 },
@@ -64,12 +66,45 @@ func TestParseAdminFileErrors(t *testing.T) {
 		"bad:-1:xx:100:5:90",
 		"starver:-1:30:100:5:100", // 100% duty refused by Validate
 		"inverted:-1:100:30:5:90",
+		"batch:-1:30:100:5:NaN",    // NaN duty slipped past Validate
+		"batch:NaN:30:100:5:90",    // NaN uid became math.MinInt64
+		"batch:-1:30.9:100:5:90",   // fractional priority was truncated
+		"batch:-1:30:100:Inf:90",   // infinite period
+		"batch:-1:30:100:1e300:90", // period overflows simulated time
+		"batch:-1:30:100:5:90\n#" + strings.Repeat("x", 64<<10) + "\nproduction:501:41:100:10:95",
 	}
 	for _, text := range cases {
-		if _, err := ParseAdminFile(text); err == nil {
-			t.Errorf("accepted %q", text)
+		if recs, err := ParseAdminFile(text); err == nil {
+			t.Errorf("accepted %.60q as %d record(s)", text, len(recs))
 		}
 	}
+}
+
+// FuzzParseAdminFile checks the parser's contract on arbitrary input: it
+// either returns an error or records that all pass Validate.
+func FuzzParseAdminFile(f *testing.F) {
+	for _, seed := range []string{
+		"# /etc/poe.priority\nbenchmark:-1:30:100:5:90\nproduction:501:41:100:10:95   # tuned for GPFS\n",
+		"batch:-1:30:100:5:NaN",
+		"batch:NaN:30:100:5:90",
+		"batch:-1:30.9:100:5:90",
+		"batch:-1:30:100:5:90\n#" + strings.Repeat("x", 64<<10) + "\nproduction:501:41:100:10:95",
+		"too:few:fields",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		recs, err := ParseAdminFile(text)
+		if err != nil {
+			return
+		}
+		for _, p := range recs {
+			if verr := p.Validate(); verr != nil {
+				t.Fatalf("returned a record that fails Validate: %+v: %v", p, verr)
+			}
+		}
+	})
 }
 
 func TestLookupClass(t *testing.T) {

@@ -10,13 +10,13 @@ import (
 	"sync"
 )
 
-// Sweep checkpointing: every completed run's aggregate result is appended to
-// a JSONL file as it finishes, and a resumed sweep (Options.Resume) replays
-// those entries instead of re-simulating — so an interrupted -huge sweep
-// restarts where it left off. Correctness rests on two facts: every run's
-// seed derives from its sweep coordinates (never from execution order), and
-// Go's JSON float64 round-trips exactly — a replayed cell is bit-identical
-// to a re-run one.
+// Sweep checkpointing: every completed aggregate-benchmark run's result is
+// appended to a JSONL file as it finishes, and a resumed sweep
+// (Options.Resume) replays those entries instead of re-simulating — so an
+// interrupted -huge sweep restarts where it left off. Correctness rests on
+// two facts: every run's seed derives from its sweep coordinates (never from
+// execution order), and Go's JSON float64 round-trips exactly — a replayed
+// cell is bit-identical to a re-run one.
 
 // cpHeader is the checkpoint file's first line. The fingerprint ties the
 // file to the option values that determine run outputs; a mismatched file is
@@ -28,7 +28,6 @@ type cpHeader struct {
 // cpEntry is one completed run.
 type cpEntry struct {
 	Key    string  `json:"key"`
-	Procs  int     `json:"procs"`
 	Mean   float64 `json:"mean"`
 	Stddev float64 `json:"stddev"`
 }
@@ -43,22 +42,18 @@ func (o Options) fingerprint() string {
 	return fmt.Sprintf("%x", h[:8])
 }
 
-// cpKey identifies one run within a checkpoint file.
-func cpKey(j runDesc, streamed bool) string {
-	return fmt.Sprintf("%s|%d|%d|%d|%t", j.Label, j.Nodes, j.SeedIdx, j.Seed, streamed)
-}
-
 // checkpoint is an open checkpoint file: a cache of completed entries plus
 // an append handle. Safe for concurrent record/lookup from pool workers.
 type checkpoint struct {
 	mu    sync.Mutex
+	path  string
 	f     *os.File
 	cache map[string]runOut
 }
 
 // openCheckpoints deduplicates opens per path within the process: a runner
-// that fans several runJobs batches into one sweep shares one handle, so a
-// later batch never truncates an earlier batch's entries.
+// that fans several runAggregate batches into one sweep shares one handle,
+// so a later batch never truncates an earlier batch's entries.
 var (
 	openCPMu sync.Mutex
 	openCPs  = map[string]*checkpoint{}
@@ -69,48 +64,72 @@ var (
 // file is started fresh). Unparsable lines — e.g. a half-written record from
 // a killed process — are skipped, and the file is rewritten with only the
 // valid lines before appending resumes: a torn record with no trailing
-// newline would otherwise corrupt the first entry appended after it.
+// newline would otherwise corrupt the first entry appended after it. The
+// rewrite goes to a synced temporary file that is then renamed over path,
+// so a kill at any point leaves either the old file or the new one.
 func openCheckpoint(path string, resume bool, fp string) (*checkpoint, error) {
 	openCPMu.Lock()
 	defer openCPMu.Unlock()
 	if cp, ok := openCPs[path]; ok {
 		return cp, nil
 	}
-	cp := &checkpoint{cache: map[string]runOut{}}
+	cp := &checkpoint{path: path, cache: map[string]runOut{}}
 	var keep []string
 	if resume {
 		if data, err := os.ReadFile(path); err == nil {
 			lines := strings.Split(string(data), "\n")
 			var hdr cpHeader
-			if len(lines) > 0 && json.Unmarshal([]byte(lines[0]), &hdr) == nil && hdr.Fingerprint == fp {
+			if json.Unmarshal([]byte(lines[0]), &hdr) == nil && hdr.Fingerprint == fp {
 				for _, ln := range lines[1:] {
 					var e cpEntry
 					if json.Unmarshal([]byte(ln), &e) != nil || e.Key == "" {
 						continue
 					}
-					cp.cache[e.Key] = runOut{procs: e.Procs, mean: e.Mean, stddev: e.Stddev}
+					cp.cache[e.Key] = runOut{mean: e.Mean, stddev: e.Stddev}
 					keep = append(keep, ln)
 				}
 			}
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: create checkpoint %s: %w", path, err)
-	}
-	w := bufio.NewWriter(f)
-	hdr, _ := json.Marshal(cpHeader{Fingerprint: fp})
-	fmt.Fprintf(w, "%s\n", hdr)
-	for _, ln := range keep {
-		fmt.Fprintf(w, "%s\n", ln)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+	tmp := path + ".tmp"
+	if err := writeSynced(tmp, fp, keep); err != nil {
+		os.Remove(tmp)
 		return nil, fmt.Errorf("experiment: write checkpoint %s: %w", path, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return nil, fmt.Errorf("experiment: replace checkpoint %s: %w", path, err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: open checkpoint %s: %w", path, err)
 	}
 	cp.f = f
 	openCPs[path] = cp
 	return cp, nil
+}
+
+// writeSynced writes a checkpoint header for fp followed by lines to a new
+// file at path and syncs it to stable storage.
+func writeSynced(path, fp string, lines []string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w := bufio.NewWriter(f)
+	hdr, _ := json.Marshal(cpHeader{Fingerprint: fp}) // a string field always marshals
+	fmt.Fprintf(w, "%s\n", hdr)
+	for _, ln := range lines {
+		fmt.Fprintf(w, "%s\n", ln)
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // resetCheckpointsForTest drops the process-wide open-file registry so a
@@ -125,8 +144,12 @@ func resetCheckpointsForTest() {
 	}
 }
 
-// lookup returns a previously completed run's result.
+// lookup returns a previously completed run's result. A nil checkpoint
+// holds nothing.
 func (cp *checkpoint) lookup(key string) (runOut, bool) {
+	if cp == nil {
+		return runOut{}, false
+	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	r, ok := cp.cache[key]
@@ -134,15 +157,24 @@ func (cp *checkpoint) lookup(key string) (runOut, bool) {
 }
 
 // record appends one completed run, synced so a kill mid-sweep loses at most
-// the entry being written (which resume then skips as unparsable).
-func (cp *checkpoint) record(key string, r runOut) {
-	line, err := json.Marshal(cpEntry{Key: key, Procs: r.procs, Mean: r.mean, Stddev: r.stddev})
+// the entry being written (which resume then skips as unparsable). A nil
+// checkpoint records nothing.
+func (cp *checkpoint) record(key string, r runOut) error {
+	if cp == nil {
+		return nil
+	}
+	line, err := json.Marshal(cpEntry{Key: key, Mean: r.mean, Stddev: r.stddev})
 	if err != nil {
-		return
+		return fmt.Errorf("experiment: checkpoint %s: %w", cp.path, err)
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
+	if _, err := fmt.Fprintf(cp.f, "%s\n", line); err != nil {
+		return fmt.Errorf("experiment: append to checkpoint %s: %w", cp.path, err)
+	}
+	if err := cp.f.Sync(); err != nil {
+		return fmt.Errorf("experiment: sync checkpoint %s: %w", cp.path, err)
+	}
 	cp.cache[key] = r
-	fmt.Fprintf(cp.f, "%s\n", line)
-	cp.f.Sync()
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"coschedsim/internal/sim"
@@ -100,6 +102,49 @@ func TestShardWorkersBitIdentical(t *testing.T) {
 			if !bytes.Equal(serial, got) {
 				t.Errorf("%s: output differs between serial and %d shard workers\n--- serial ---\n%s\n--- sharded ---\n%s",
 					name, w, serial, got)
+			}
+		}
+	}
+}
+
+// TestShardWorkersReachFig4AndHints checks that fig4 and abl-hints, the
+// multi-node experiments that once built their clusters outside the pool,
+// run on the sharded core under ShardWorkers 2 and 4 (their runs report
+// engine window statistics) and render byte-identically to serial.
+func TestShardWorkersReachFig4AndHints(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		runs int
+	}{{"fig4", 1}, {"abl-hints", 2}} {
+		name := tc.name
+		serial := renderedWithShardWorkers(t, name, 0)
+		for _, w := range []int{2, 4} {
+			r, _ := Lookup(name)
+			o := detOptions()
+			o.Parallelism = 4
+			o.ShardWorkers = w
+			var mu sync.Mutex
+			windows := 0
+			o.Progress = func(l string) {
+				mu.Lock()
+				defer mu.Unlock()
+				if strings.Contains(l, "pdes windows=") {
+					windows++
+				}
+			}
+			tab, err := r.Run(o)
+			if err != nil {
+				t.Fatalf("%s with %d shard workers: %v", name, w, err)
+			}
+			var buf bytes.Buffer
+			tab.Render(&buf)
+			tab.CSV(&buf)
+			if !bytes.Equal(serial, buf.Bytes()) {
+				t.Errorf("%s: output differs between serial and %d shard workers\n--- serial ---\n%s\n--- sharded ---\n%s",
+					name, w, serial, buf.Bytes())
+			}
+			if windows != tc.runs {
+				t.Errorf("%s with %d shard workers: %d of %d runs reported sharded windows", name, w, windows, tc.runs)
 			}
 		}
 	}

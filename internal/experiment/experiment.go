@@ -55,13 +55,15 @@ type Options struct {
 	// only wall-clock and its distribution across runs change. 0 and 1
 	// keep runs on the serial engine.
 	ShardWorkers int
-	// Progress, when non-nil, receives one line per completed run. Under
+	// Progress, when non-nil, receives one line per run, tagged with its
+	// label, nodes and seed (sharded runs add one engine-window line). Under
 	// parallelism > 1 the callback is invoked from worker goroutines but
 	// never concurrently (calls are serialized); line order across runs
 	// is not deterministic, line content is.
 	Progress func(string)
-	// CheckpointPath, when non-empty, appends every completed run's result
-	// to a JSONL file as the sweep progresses. Combined with Resume, a
+	// CheckpointPath, when non-empty, appends every completed
+	// aggregate-benchmark run's result (the Allreduce-timing sweeps) to a
+	// JSONL file as the sweep progresses. Combined with Resume, a
 	// sweep killed mid-flight restarts from the completed cells instead of
 	// from scratch — replayed cells are bit-identical to re-run ones
 	// because seeds derive from sweep coordinates, not execution order.
@@ -123,12 +125,6 @@ func (o Options) callsFor(procs int) int {
 	return calls
 }
 
-func (o Options) progress(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf(format, args...))
-	}
-}
-
 // nodeSweep returns the node counts for a scaling sweep up to max,
 // mimicking the paper's strategy of denser points at low counts and a
 // top-end point (59 nodes = 944 processors).
@@ -167,16 +163,16 @@ func Registry() []Runner {
 		{"t3", "T3: ALE3D under vanilla / naive / tuned co-scheduling", T3ALE3D},
 		{"t4", "T4: OS noise accounting and MPI timer-thread interference", T4Noise},
 		{"t5", "T5: Allreduce share of BSP total time vs scale", T5AllreduceFraction},
-		{"abl-bigtick", "Ablation: big-tick interval sweep", AblationBigTick},
-		{"abl-duty", "Ablation: co-scheduler duty cycle and period", AblationDutyCycle},
-		{"abl-ipi", "Ablation: forced-preemption (IPI) feature matrix", AblationIPI},
-		{"abl-clock", "Ablation: clock synchronization error", AblationClockSync},
-		{"abl-ticks", "Ablation: staggered vs aligned tick interrupts", AblationTickAlignment},
+		{"abl-bigtick", "Ablation: big-tick interval sweep", ablBigTick.run},
+		{"abl-duty", "Ablation: co-scheduler duty cycle and period", ablDuty.run},
+		{"abl-ipi", "Ablation: forced-preemption (IPI) feature matrix", ablIPI.run},
+		{"abl-clock", "Ablation: clock synchronization error", ablClock.run},
+		{"abl-ticks", "Ablation: staggered vs aligned tick interrupts", ablTicks.run},
 		{"abl-hints", "Extension: fine-grain region hints (paper §7 future work)", AblationFineGrainHints},
-		{"abl-hwcoll", "Extension: hardware-assisted collectives (paper §7 future work)", AblationHardwareCollectives},
+		{"abl-hwcoll", "Extension: hardware-assisted collectives (paper §7 future work)", ablHWColl.run},
 		{"abl-jitter", "Ablation: switch-transit jitter sweep, vanilla vs prototype", AblationNetworkJitter},
-		{"abl-gang", "Baseline: coarse-quantum gang scheduler (paper §6 category 1)", AblationGangScheduler},
-		{"abl-fairshare", "Baseline: fair-share usage decay (paper §6 category 3)", AblationFairShare},
+		{"abl-gang", "Baseline: coarse-quantum gang scheduler (paper §6 category 1)", ablGang.run},
+		{"abl-fairshare", "Baseline: fair-share usage decay (paper §6 category 3)", ablFairShare.run},
 		{"abl-fault", "Ablation: fault rate x resilience policy (retry vs abort vs co-sched re-plan)", AblationFault},
 		{"huge", "Extended: vanilla, co-scheduled and tuned-ALE3D scaling to 1024 nodes / 16384 procs, paper-range fits extrapolated", HugeScaling},
 	}
@@ -192,56 +188,19 @@ func Lookup(name string) (Runner, bool) {
 	return Runner{}, false
 }
 
-// pointStats is one sweep point's aggregate over seeds.
-type pointStats struct {
-	procs  int
-	mean   float64 // mean Allreduce us, averaged over seeds
-	stddev float64 // within-run stddev, averaged over seeds
-	min    float64
-	max    float64 // spread of per-seed means (run-to-run variability)
-}
-
 // measureScaling runs the aggregate benchmark across the node sweep for a
-// config family and aggregates per-point statistics. Every (nodes, seed)
-// run is enumerated up front and executed on the work pool; per-point
-// aggregation happens in enumeration order, so results are bit-identical
-// to serial execution at any Parallelism.
+// config family and aggregates per-point statistics over seeds.
 func measureScaling(o Options, label string, cfgFor func(nodes int, seed int64) cluster.Config) ([]pointStats, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	sweep := nodeSweep(o.MaxNodes)
-	jobs := make([]runDesc, 0, len(sweep)*o.Seeds)
-	for _, nodes := range sweep {
-		for s := 0; s < o.Seeds; s++ {
-			seed := o.BaseSeed + int64(1000*nodes) + int64(s)
-			jobs = append(jobs, runDesc{
-				Label: label, Nodes: nodes, SeedIdx: s, Seed: seed, Cfg: cfgFor(nodes, seed),
-			})
-		}
-	}
-	outs, err := runAggregateJobs(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]pointStats, 0, len(sweep))
-	for p := range sweep {
-		group := outs[p*o.Seeds : (p+1)*o.Seeds]
-		var seedMeans, stddevs []float64
-		for _, r := range group {
-			seedMeans = append(seedMeans, r.mean)
-			stddevs = append(stddevs, r.stddev)
-		}
-		ms := stats.Summarize(seedMeans)
-		out = append(out, pointStats{
-			procs:  group[0].procs,
-			mean:   ms.Mean,
-			stddev: stats.Summarize(stddevs).Mean,
-			min:    ms.Min,
-			max:    ms.Max,
+	var runs []runDesc
+	for _, nodes := range nodeSweep(o.MaxNodes) {
+		runs = o.seeded(runs, label, nodes, o.BaseSeed+int64(1000*nodes), func(seed int64) cluster.Config {
+			return cfgFor(nodes, seed)
 		})
 	}
-	return out, nil
+	return runAggregate(o, runs, o.Seeds)
 }
 
 // scalingTable renders a sweep as the standard scaling table.

@@ -6,7 +6,6 @@ import (
 
 	"coschedsim/internal/cluster"
 	"coschedsim/internal/fault"
-	"coschedsim/internal/parallel"
 	"coschedsim/internal/sim"
 	"coschedsim/internal/stats"
 	"coschedsim/internal/workload"
@@ -96,16 +95,6 @@ func faultVariants(nodes int) []faultVariant {
 	}
 }
 
-// faultOut is one faulty run's outcome. Unlike the clean sweeps, a run that
-// does not complete is data, not an error: the table reports how far it got
-// and what the resilience machinery did.
-type faultOut struct {
-	mean      float64
-	calls     int
-	completed bool
-	rep       cluster.FaultReport
-}
-
 // AblationFault sweeps fault rate x resilience policy. Every fault schedule
 // is drawn from counter streams keyed by stable identities, so the whole
 // table is byte-identical on the heap, wheel, and sharded cores at any
@@ -114,48 +103,35 @@ func AblationFault(o Options) (*Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	o = o.withSafeProgress()
 	nodes := ablationNodes(o)
 	variants := faultVariants(nodes)
-	jobs := make([]runDesc, 0, len(variants)*o.Seeds)
+	var runs []runDesc
 	for _, v := range variants {
-		for s := 0; s < o.Seeds; s++ {
-			seed := o.BaseSeed + int64(s)
-			jobs = append(jobs, runDesc{
-				Label: "abl-fault/" + v.tag, Nodes: nodes, SeedIdx: s, Seed: seed, Cfg: v.cfg(seed),
-			})
-		}
+		runs = o.seeded(runs, "abl-fault/"+v.tag, nodes, o.BaseSeed, v.cfg)
 	}
-	shard := o.shardWorkers()
-	outs, err := parallel.Map(o.workers(), len(jobs), func(i int) (faultOut, error) {
-		j := jobs[i]
-		if shard > 1 {
-			j.Cfg.IntraRunWorkers = shard
-		}
-		c, err := cluster.Build(j.Cfg)
-		if err != nil {
-			return faultOut{}, err
-		}
-		if o.RunDeadline > 0 {
-			c.SetWallDeadline(o.RunDeadline)
-		}
+	// Unlike the clean sweeps, a run that does not complete is data, not an
+	// error: its row reports how far it got and what the resilience
+	// machinery did.
+	outs, err := runAll(o, runs, nanRow(10), nil, func(_ int, c *cluster.Cluster) (row, error) {
 		spec := workload.AggregateSpec{
 			Loops: 1, CallsPerLoop: o.callsFor(c.Procs()), Compute: o.ComputeGrain,
 		}
 		res, err := workload.RunAggregate(c, spec, 30*sim.Minute)
 		if err != nil {
-			return faultOut{}, err
+			return nil, err
 		}
-		fo := faultOut{calls: len(res.TimesUS), completed: res.Completed, rep: c.FaultReport()}
-		if fo.calls > 0 {
-			fo.mean = stats.Summarize(res.TimesUS).Mean
-		} else {
-			fo.mean = math.NaN()
+		mean := math.NaN()
+		if len(res.TimesUS) > 0 {
+			mean = stats.Summarize(res.TimesUS).Mean
 		}
-		o.progress("%s nodes=%d seed=%d calls=%d completed=%t drops=%d retries=%d lost=%d aborted=%d replans=%d restarts=%d",
-			j.Label, j.Nodes, j.SeedIdx, fo.calls, fo.completed, fo.rep.Dropped, fo.rep.Retries,
-			fo.rep.LostRanks, fo.rep.AbortedRanks, fo.rep.Replans, fo.rep.Restarts)
-		return fo, nil
+		completed := 0.0
+		if res.Completed {
+			completed = 1
+		}
+		rep := c.FaultReport()
+		return row{mean, float64(len(res.TimesUS)), completed,
+			float64(rep.Dropped), float64(rep.Retries), float64(rep.AbortedCollectives),
+			float64(rep.LostRanks), float64(rep.AbortedRanks), float64(rep.Replans), float64(rep.Restarts)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -170,31 +146,18 @@ func AblationFault(o Options) (*Table, error) {
 		},
 	}
 	for vi, v := range variants {
-		group := outs[vi*o.Seeds : (vi+1)*o.Seeds]
+		// Per variant: the mean over seeds, then every counter summed over
+		// seeds, except calls, which is averaged.
 		var means []float64
-		var calls, done int
-		var rep cluster.FaultReport
-		for _, r := range group {
-			means = append(means, r.mean)
-			calls += r.calls
-			if r.completed {
-				done++
+		sums := make(row, 9)
+		for _, r := range outs[vi*o.Seeds : (vi+1)*o.Seeds] {
+			means = append(means, r[0])
+			for k := range sums {
+				sums[k] += r[k+1]
 			}
-			rep.Dropped += r.rep.Dropped
-			rep.Retries += r.rep.Retries
-			rep.AbortedCollectives += r.rep.AbortedCollectives
-			rep.LostRanks += r.rep.LostRanks
-			rep.AbortedRanks += r.rep.AbortedRanks
-			rep.Replans += r.rep.Replans
-			rep.Restarts += r.rep.Restarts
 		}
-		t.AddRow(v.tag,
-			stats.Summarize(means).Mean,
-			float64(calls)/float64(o.Seeds),
-			float64(done),
-			float64(rep.Dropped), float64(rep.Retries), float64(rep.AbortedCollectives),
-			float64(rep.LostRanks), float64(rep.AbortedRanks),
-			float64(rep.Replans), float64(rep.Restarts))
+		sums[0] /= float64(o.Seeds)
+		t.AddRow(v.tag, append(row{stats.Summarize(means).Mean}, sums...)...)
 	}
 	t.AddNote("fault schedules are drawn from counter streams keyed by (node, rank, send index, attempt): the table is byte-identical on heap/wheel/sharded cores at any worker count")
 	t.AddNote("drop-retry absorbs what drop-abort dies to; crash-replan drains surviving nodes in favored quanta (replans column) before release; counters are summed over %d seed(s)", o.Seeds)

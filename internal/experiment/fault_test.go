@@ -2,8 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -242,4 +245,146 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 			t.Fatalf("entry from a mismatched sweep replayed: %s", l)
 		}
 	}
+}
+
+// TestQuarantineNonAggregateRow checks that quarantine reaches the
+// experiments outside the aggregate benchmark: a panicking build in one t5
+// run turns that row into "-" cells while its processor count and the
+// other rows stay real.
+func TestQuarantineNonAggregateRow(t *testing.T) {
+	prev := buildCluster
+	buildCluster = func(cfg cluster.Config) (*cluster.Cluster, error) {
+		if cfg.Nodes == 2 {
+			panic("injected build panic")
+		}
+		return cluster.Build(cfg)
+	}
+	defer func() { buildCluster = prev }()
+
+	o := detOptions()
+	o.Parallelism = 2
+	tab, err := T5AllreduceFraction(o)
+	if err != nil {
+		t.Fatalf("a panicking run aborted t5: %v", err)
+	}
+	procs, share := tab.Col("procs"), tab.Col("share")
+	if len(procs) != 3 || procs[1] != 32 {
+		t.Fatalf("procs = %v, want the 2-node row kept at 32", procs)
+	}
+	if !math.IsNaN(share[1]) || math.IsNaN(share[0]) || math.IsNaN(share[2]) {
+		t.Fatalf("share = %v, want only the 2-node row quarantined", share)
+	}
+	var buf bytes.Buffer
+	tab.Render(&buf)
+	if !strings.Contains(buf.String(), " - ") {
+		t.Errorf("rendered t5 has no '-' cell:\n%s", buf.String())
+	}
+}
+
+// TestRunDeadlineQuarantinesT3 checks that RunDeadline reaches the ALE3D
+// runs: every run overruns a 1ns budget, so the sweep fails as
+// all-quarantined with the deadline as the cause.
+func TestRunDeadlineQuarantinesT3(t *testing.T) {
+	o := detOptions()
+	o.Parallelism = 2
+	o.RunDeadline = time.Nanosecond
+	var lines []string
+	o.Progress = func(l string) { lines = append(lines, l) }
+	_, err := T3ALE3D(o)
+	if err == nil || !errors.Is(err, errRunDeadline) || !strings.Contains(err.Error(), "all 3 runs quarantined") {
+		t.Fatalf("err = %v, want all 3 t3 runs quarantined by the deadline", err)
+	}
+	if n := strings.Count(strings.Join(lines, "\n"), "QUARANTINED"); n != 3 {
+		t.Fatalf("%d QUARANTINED progress lines, want 3:\n%s", n, strings.Join(lines, "\n"))
+	}
+}
+
+// TestRunAllReturnsLowestIndexError checks the sweep's failure contract: a
+// run error that is not quarantinable fails the sweep, and when several
+// runs fail the lowest-index error wins no matter which finished first.
+func TestRunAllReturnsLowestIndexError(t *testing.T) {
+	early, late := errors.New("early"), errors.New("late")
+	runs := make([]runDesc, 8)
+	for i := range runs {
+		runs[i] = runDesc{Label: "lowest-index", Nodes: 1, SeedIdx: i, Cfg: cluster.Vanilla(1, 1, 1)}
+	}
+	o := detOptions()
+	o.Parallelism = 8
+	// Run 7 fails at once; run 2 fails after a delay. Both run, so the
+	// lowest-index error must win.
+	_, err := runAll(o, runs, 0, nil, func(i int, _ *cluster.Cluster) (int, error) {
+		switch i {
+		case 2:
+			time.Sleep(20 * time.Millisecond)
+			return 0, early
+		case 7:
+			return 0, late
+		}
+		return i, nil
+	})
+	if !errors.Is(err, early) {
+		t.Fatalf("err = %v, want the lowest-index run's error", err)
+	}
+}
+
+// TestCheckpointAppendFailureFailsSweep checks that a checkpoint record
+// that cannot be written fails the sweep and names the file, rather than
+// leaving a resume with silently missing cells.
+func TestCheckpointAppendFailureFailsSweep(t *testing.T) {
+	path := t.TempDir() + "/sweep.jsonl"
+	o := detOptions()
+	o.CheckpointPath = path
+	cp, err := openCheckpoint(path, false, o.fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resetCheckpointsForTest()
+	cp.f.Close() // every later append fails
+	_, err = Fig3VanillaScaling(o)
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("err = %v, want a sweep failure naming %s", err, path)
+	}
+}
+
+// FuzzOpenCheckpoint feeds arbitrary file contents to a resumed sweep's
+// checkpoint reader. It must not panic, it must replay exactly the entry
+// lines that parse under a matching fingerprint header, and the file it
+// rewrites must reopen to the same cache.
+func FuzzOpenCheckpoint(f *testing.F) {
+	const fp = "0123456789abcdef"
+	hdr := `{"fingerprint":"` + fp + `"}`
+	f.Add([]byte(hdr + "\n" + `{"key":"fig3|1|0|1001","mean":451.5,"stddev":30.25}` + "\n"))
+	f.Add([]byte(hdr + "\n" + `{"key":"a","mean":1,"stddev":2}` + "\n" + `{"key":"torn`))
+	f.Add([]byte(hdr + "\n" + `{"key":"a","mean":1}` + "\n" + `{"key":"a","mean":2}` + "\n\n" + `null` + "\n" + `{"key":""}`))
+	f.Add([]byte(`{"fingerprint":"other"}` + "\n" + `{"key":"a","mean":1,"stddev":2}` + "\n"))
+	f.Add([]byte(hdr + "\r\n" + `{"key":"a","mean":1e400}` + "\r\n"))
+	f.Add([]byte{})
+	path := f.TempDir() + "/cp.jsonl"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]runOut{}
+		lines := strings.Split(string(data), "\n")
+		var h cpHeader
+		if json.Unmarshal([]byte(lines[0]), &h) == nil && h.Fingerprint == fp {
+			for _, ln := range lines[1:] {
+				var e cpEntry
+				if json.Unmarshal([]byte(ln), &e) == nil && e.Key != "" {
+					want[e.Key] = runOut{mean: e.Mean, stddev: e.Stddev}
+				}
+			}
+		}
+		defer resetCheckpointsForTest()
+		for pass := 0; pass < 2; pass++ {
+			cp, err := openCheckpoint(path, true, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cp.cache, want) {
+				t.Fatalf("pass %d: cache = %v, want %v", pass, cp.cache, want)
+			}
+			resetCheckpointsForTest()
+		}
+	})
 }

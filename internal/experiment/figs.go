@@ -6,7 +6,6 @@ import (
 
 	"coschedsim/internal/cluster"
 	"coschedsim/internal/kernel"
-	"coschedsim/internal/parallel"
 	"coschedsim/internal/sim"
 	"coschedsim/internal/stats"
 	"coschedsim/internal/trace"
@@ -30,56 +29,40 @@ func Fig1NoiseOverlap(o Options) (*Table, error) {
 			{Name: "allcpu-app", Unit: "%"}, {Name: "steps/s"}, {Name: "noise", Unit: "% per cpu"},
 		},
 	}
-	scens := []struct {
-		tag string
-		cfg cluster.Config
-	}{
-		{"random", cluster.Vanilla(1, 8, o.BaseSeed)},
-		{"co-scheduled", cluster.Prototype(1, 8, o.BaseSeed)},
-	}
-	type fig1Out struct {
-		green, stepsPerSec, noisePct float64
-	}
-	op := o.withSafeProgress()
-	outs, err := parallel.Map(op.workers(), len(scens), func(i int) (fig1Out, error) {
-		cfg := scens[i].cfg
+	tags := []string{"random", "co-scheduled"}
+	var runs []runDesc
+	for i, cfg := range []cluster.Config{cluster.Vanilla(1, 8, o.BaseSeed), cluster.Prototype(1, 8, o.BaseSeed)} {
 		cfg.CPUsPerNode = 8
 		cfg.TasksPerNode = 8
 		cfg.Kernel.NumCPUs = 8
-		c, err := cluster.Build(cfg)
-		if err != nil {
-			return fig1Out{}, err
-		}
+		runs = append(runs, runDesc{Label: "fig1/" + tags[i], Nodes: 1, Seed: o.BaseSeed, Cfg: cfg})
+	}
+	spec := workload.BSPSpec{
+		Steps:             600,
+		ComputeMean:       20 * sim.Millisecond,
+		ComputeJitter:     2 * sim.Millisecond,
+		AllreducesPerStep: 2,
+	}
+	outs, err := runAll(o, runs, nanRow(3), nil, func(i int, c *cluster.Cluster) (row, error) {
 		buf := trace.NewBuffer(4 << 20)
 		buf.SkipTicks(true)
 		c.Nodes[0].SetSink(buf)
-		spec := workload.BSPSpec{
-			Steps:             600,
-			ComputeMean:       20 * sim.Millisecond,
-			ComputeJitter:     2 * sim.Millisecond,
-			AllreducesPerStep: 2,
-		}
 		res, err := workload.RunBSP(c, spec, 30*sim.Minute)
 		if err != nil {
-			return fig1Out{}, err
+			return nil, err
 		}
 		if !res.Completed {
-			return fig1Out{}, fmt.Errorf("experiment fig1: %s run did not complete", scens[i].tag)
+			return nil, fmt.Errorf("experiment fig1: %s run did not complete", tags[i])
 		}
 		green := appOverlapFraction(buf.Records(), 0, 8, 0, res.Wall, "rank")
-		noise := c.Noise[0].Measure(res.Wall)
-		op.progress("fig1 %s: green=%.1f%% wall=%v", scens[i].tag, green*100, res.Wall)
-		return fig1Out{
-			green:       green * 100,
-			stepsPerSec: float64(spec.Steps) / res.Wall.Seconds(),
-			noisePct:    noise.PerCPUFraction * 100,
-		}, nil
+		return row{green * 100, float64(spec.Steps) / res.Wall.Seconds(),
+			c.Noise[0].Measure(res.Wall).PerCPUFraction * 100}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, sc := range scens {
-		t.AddRow(sc.tag, outs[i].green, outs[i].stepsPerSec, outs[i].noisePct)
+	for i, tag := range tags {
+		t.AddRow(tag, outs[i]...)
 	}
 	t.AddNote("paper (Fig.1, qualitative): overlapping the same amount of system activity enlarges the periods during which the whole job can progress")
 	return t, nil
@@ -237,28 +220,35 @@ func Fig4OutlierProfile(o Options) (*Table, error) {
 		cronPeriod = 15 * sim.Minute
 	}
 	cfg.Noise.Cron.Period = cronPeriod
-	c, err := cluster.Build(cfg)
+	type fig4Out struct {
+		res  workload.AggregateResult
+		recs []trace.Record
+	}
+	outs, err := runAll(o, []runDesc{{Label: "fig4", Nodes: nodes, Seed: o.BaseSeed, Cfg: cfg}}, fig4Out{}, nil,
+		func(_ int, c *cluster.Cluster) (fig4Out, error) {
+			buf := trace.NewBuffer(8 << 20)
+			buf.SkipTicks(true)
+			buf.FilterNode(0)
+			c.Nodes[0].SetSink(buf)
+			res, err := workload.RunAggregate(c, workload.AggregateSpec{Loops: 1, CallsPerLoop: calls, Compute: o.ComputeGrain}, 30*sim.Minute)
+			if err != nil {
+				return fig4Out{}, err
+			}
+			if !res.Completed {
+				return fig4Out{}, fmt.Errorf("experiment fig4: run did not complete")
+			}
+			return fig4Out{res, buf.Records()}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	buf := trace.NewBuffer(8 << 20)
-	buf.SkipTicks(true)
-	buf.FilterNode(0)
-	c.Nodes[0].SetSink(buf)
-
-	res, err := workload.RunAggregate(c, workload.AggregateSpec{Loops: 1, CallsPerLoop: calls, Compute: o.ComputeGrain}, 30*sim.Minute)
-	if err != nil {
-		return nil, err
-	}
-	if !res.Completed {
-		return nil, fmt.Errorf("experiment fig4: run did not complete")
-	}
+	res := outs[0].res
 
 	sorted := stats.SortedCopy(res.TimesUS)
 	sum := stats.Summarize(res.TimesUS)
 	t := &Table{
 		ID:    "FIG4",
-		Title: fmt.Sprintf("Sorted Allreduce times, %d procs, vanilla kernel (%d calls)", c.Procs(), calls),
+		Title: fmt.Sprintf("Sorted Allreduce times, %d procs, vanilla kernel (%d calls)", nodes*16, calls),
 		Cols:  []Column{{Name: "percentile"}, {Name: "time", Unit: "us"}},
 	}
 	for _, p := range []float64{0, 10, 25, 50, 75, 90, 95, 99, 100} {
@@ -280,7 +270,7 @@ func Fig4OutlierProfile(o Options) (*Table, error) {
 	if slowIdx < len(res.Starts) {
 		start := res.Starts[slowIdx]
 		end := start + sim.Time(slowVal*float64(sim.Microsecond))
-		att := trace.Attribute(buf.Records(), 0, start, end, "rank")
+		att := trace.Attribute(outs[0].recs, 0, start, end, "rank")
 		top := att.TopOffenders(5)
 		if len(top) > 0 {
 			t.AddNote("slowest call attribution (node 0): %s", strings.Join(top, ", "))

@@ -18,9 +18,7 @@ import (
 // each configuration alone, and check how well each small-cluster fit
 // extrapolates an order of magnitude out — the paper's claim is precisely
 // that the slopes diverge, so the tier reports a vanilla/<config> slope
-// ratio per co-scheduled configuration. Runs stream their per-call timings
-// through stats.Accum, so memory stays O(ranks) rather than
-// O(ranks + calls x runs).
+// ratio per co-scheduled configuration.
 
 // Huge sizes the extended sweep. Window stays zero on purpose: callsFor
 // would otherwise inflate the call count with the processor count, and at
@@ -105,19 +103,15 @@ func HugeScaling(o Options) (*Table, error) {
 
 	sweep := append(append([]int{}, paper...), huge...)
 	configs := hugeConfigs()
-	jobs := make([]runDesc, 0, len(configs)*len(sweep)*o.Seeds)
+	var runs []runDesc
 	for _, cc := range configs {
 		for _, nodes := range sweep {
-			for s := 0; s < o.Seeds; s++ {
-				seed := o.BaseSeed + int64(1000*nodes) + int64(s)
-				jobs = append(jobs, runDesc{
-					Label: "huge/" + cc.tag, Nodes: nodes, SeedIdx: s, Seed: seed,
-					Cfg: cc.cfg(nodes, 16, seed),
-				})
-			}
+			runs = o.seeded(runs, "huge/"+cc.tag, nodes, o.BaseSeed+int64(1000*nodes), func(seed int64) cluster.Config {
+				return cc.cfg(nodes, 16, seed)
+			})
 		}
 	}
-	outs, err := runStreamedJobs(o, jobs)
+	all, err := runAggregate(o, runs, o.Seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -131,33 +125,12 @@ func HugeScaling(o Options) (*Table, error) {
 		},
 	}
 
-	type point struct {
-		procs float64
-		mean  float64
-		sd    float64
-	}
 	slopes := make([]float64, len(configs))
-	perConfig := len(sweep) * o.Seeds
 	for ci, cc := range configs {
-		pts := make([]point, 0, len(sweep))
-		for p := range sweep {
-			base := ci*perConfig + p*o.Seeds
-			group := outs[base : base+o.Seeds]
-			var means, sds []float64
-			for _, r := range group {
-				means = append(means, r.mean)
-				sds = append(sds, r.stddev)
-			}
-			pts = append(pts, point{
-				procs: float64(group[0].procs),
-				mean:  stats.Summarize(means).Mean,
-				sd:    stats.Summarize(sds).Mean,
-			})
-		}
-
+		pts := all[ci*len(sweep) : (ci+1)*len(sweep)]
 		var xs, ys []float64
 		for _, p := range pts[:len(paper)] {
-			xs = append(xs, p.procs)
+			xs = append(xs, float64(p.procs))
 			ys = append(ys, p.mean)
 		}
 		fit, err := stats.LinearFit(xs, ys)
@@ -168,7 +141,7 @@ func HugeScaling(o Options) (*Table, error) {
 
 		worst := 0.0
 		for i, p := range pts {
-			pred := fit.Eval(p.procs)
+			pred := fit.Eval(float64(p.procs))
 			errPct := 0.0
 			if pred != 0 {
 				errPct = (p.mean - pred) / pred * 100
@@ -185,10 +158,10 @@ func HugeScaling(o Options) (*Table, error) {
 					worst = a
 				}
 			}
-			t.AddRow(tag, p.procs, p.mean, p.sd, pred, errPct)
+			t.AddRow(tag, float64(p.procs), p.mean, p.stddev, pred, errPct)
 		}
 		t.AddNote("%s paper-range fit (procs <= %d): y = %.3f*x + %.0f us (R2=%.3f)",
-			cc.tag, int(pts[len(paper)-1].procs), fit.Slope, fit.Intercept, fit.R2)
+			cc.tag, pts[len(paper)-1].procs, fit.Slope, fit.Intercept, fit.R2)
 		if len(huge) > 0 {
 			t.AddNote("%s worst extrapolation error at extended scales: %.1f%%", cc.tag, worst)
 		}

@@ -8,8 +8,8 @@ import (
 )
 
 // TestHugeScalingSmoke runs the huge-tier runner at a reduced node count on
-// the sharded core: the streamed-aggregation path, the paper-range fit and
-// the extrapolation columns must all come out populated and finite.
+// the sharded core: the aggregate runs, the paper-range fit and the
+// extrapolation columns must all come out populated and finite.
 func TestHugeScalingSmoke(t *testing.T) {
 	o := Options{MaxNodes: 24, Calls: 4, Seeds: 1,
 		ComputeGrain: 200 * sim.Microsecond, BaseSeed: 1,

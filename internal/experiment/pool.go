@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"coschedsim/internal/cluster"
@@ -26,11 +27,17 @@ type runDesc struct {
 	Cfg     cluster.Config
 }
 
-// runOut is the aggregate-benchmark outcome of one runDesc.
-type runOut struct {
-	procs  int
-	mean   float64
-	stddev float64
+// procs is the run's rank count, known before the cluster is built.
+func (r runDesc) procs() int { return r.Cfg.Nodes * r.Cfg.TasksPerNode }
+
+// seeded appends o.Seeds runs of one sweep point: seed index s runs with
+// seed base+s on cfg(seed).
+func (o Options) seeded(runs []runDesc, label string, nodes int, base int64, cfg func(seed int64) cluster.Config) []runDesc {
+	for s := 0; s < o.Seeds; s++ {
+		seed := base + int64(s)
+		runs = append(runs, runDesc{Label: label, Nodes: nodes, SeedIdx: s, Seed: seed, Cfg: cfg(seed)})
+	}
+	return runs
 }
 
 // workers resolves the sweep-level worker count: the total budget
@@ -61,44 +68,6 @@ func (o Options) shardWorkers() int {
 	return s
 }
 
-// withSafeProgress returns a copy of o whose Progress callback is
-// serialized behind a mutex so pool workers may report concurrently.
-// Every line carries its run's label/nodes/seed tags, so interleaved
-// output remains attributable to a run.
-func (o Options) withSafeProgress() Options {
-	if o.Progress == nil {
-		return o
-	}
-	var mu sync.Mutex
-	inner := o.Progress
-	o.Progress = func(line string) {
-		mu.Lock()
-		defer mu.Unlock()
-		inner(line)
-	}
-	return o
-}
-
-// runAggregateJobs executes the paper's aggregate benchmark once per
-// descriptor on o.workers() workers. out[i] corresponds to jobs[i] no
-// matter which worker ran it, so aggregations over the result slice are
-// bit-identical to a serial loop; the first failing job (lowest index)
-// cancels the remaining ones.
-func runAggregateJobs(o Options, jobs []runDesc) ([]runOut, error) {
-	return runJobs(o, jobs, false)
-}
-
-// runStreamedJobs is runAggregateJobs with per-call timings streamed into
-// an online accumulator instead of retained: each run's memory is O(1) in
-// the call count, which is what lets the huge tier sweep 16k-rank clusters.
-// The streamed stddev comes from Welford's update rather than Summarize's
-// two-pass formula, so it is NOT bitwise-comparable to the retained path —
-// only new huge-tier tables use it; every golden path keeps
-// runAggregateJobs.
-func runStreamedJobs(o Options, jobs []runDesc) ([]runOut, error) {
-	return runJobs(o, jobs, true)
-}
-
 // errRunDeadline marks a run cut short by Options.RunDeadline. It is
 // wrapped into the run's error so quarantinable can recognize it.
 var errRunDeadline = errors.New("run wall deadline exceeded")
@@ -117,84 +86,70 @@ func quarantinable(err error) bool {
 	return errors.As(err, &pe) || errors.Is(err, errRunDeadline)
 }
 
-func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
-	o = o.withSafeProgress()
-	shard := o.shardWorkers()
-	var cp *checkpoint
-	if o.CheckpointPath != "" {
-		var err error
-		cp, err = openCheckpoint(o.CheckpointPath, o.Resume, o.fingerprint())
-		if err != nil {
-			return nil, err
+// runAll is the one path every simulation of every experiment takes. It
+// builds a cluster per descriptor (on the sharded core under ShardWorkers,
+// with the RunDeadline wall budget), runs body(i, cluster) on o.workers()
+// pool workers, and returns the results in descriptor order, so any
+// aggregation over them is bit-identical to a serial loop.
+//
+// cached, when non-nil, may supply run i's result without simulating it.
+// Each run reports one Progress line tagged with its label, nodes and seed
+// (results that implement fmt.Stringer add their summary), plus the engine
+// window statistics of sharded runs; Progress calls are serialized.
+//
+// A run that panics or overruns its deadline is quarantined: its slot holds
+// dash, which tables render as "-". Any other error fails the sweep (the
+// lowest-index one is returned), and so does a sweep whose every run was
+// quarantined.
+func runAll[T any](o Options, runs []runDesc, dash T, cached func(i int) (T, bool), body func(i int, c *cluster.Cluster) (T, error)) ([]T, error) {
+	var mu sync.Mutex
+	progress := func(format string, args ...any) {
+		if o.Progress == nil {
+			return
 		}
+		line := fmt.Sprintf(format, args...)
+		mu.Lock()
+		defer mu.Unlock()
+		o.Progress(line)
 	}
-	outs, errs := parallel.MapAll(o.workers(), len(jobs), func(i int) (runOut, error) {
-		j := jobs[i]
-		key := cpKey(j, streamed)
-		if cp != nil {
-			if r, ok := cp.lookup(key); ok {
-				o.progress("%s nodes=%d seed=%d checkpoint cached mean=%.1fus stddev=%.1fus",
-					j.Label, j.Nodes, j.SeedIdx, r.mean, r.stddev)
-				return r, nil
+	tag := func(r runDesc) string { return fmt.Sprintf("%s nodes=%d seed=%d", r.Label, r.Nodes, r.SeedIdx) }
+	shard := o.shardWorkers()
+	outs, errs := parallel.MapAll(o.workers(), len(runs), func(i int) (T, error) {
+		var zero T
+		r := runs[i]
+		if cached != nil {
+			if v, ok := cached(i); ok {
+				progress("%s checkpoint cached%s", tag(r), summary(v))
+				return v, nil
 			}
 		}
 		if shard > 1 {
-			j.Cfg.IntraRunWorkers = shard
+			r.Cfg.IntraRunWorkers = shard
 		}
-		c, err := buildCluster(j.Cfg)
+		c, err := buildCluster(r.Cfg)
 		if err != nil {
-			return runOut{}, err
+			return zero, err
 		}
-		if o.RunDeadline > 0 {
-			c.SetWallDeadline(o.RunDeadline)
-		}
-		spec := workload.AggregateSpec{
-			Loops: 1, CallsPerLoop: o.callsFor(c.Procs()), Compute: o.ComputeGrain,
-		}
-		var acc stats.Accum
-		if streamed {
-			spec.Stream = func(_ int, us float64) { acc.Add(us) }
-		}
-		res, err := workload.RunAggregate(c, spec, 30*sim.Minute)
-		if err != nil {
-			return runOut{}, err
-		}
+		c.SetWallDeadline(o.RunDeadline)
+		v, err := body(i, c)
 		if c.DeadlineHit() {
-			return runOut{}, fmt.Errorf("experiment %s: %d-node run seed=%d: %w",
-				j.Label, j.Nodes, j.SeedIdx, errRunDeadline)
+			return zero, fmt.Errorf("experiment %s: %w", tag(r), errRunDeadline)
 		}
-		if !res.Completed {
-			return runOut{}, fmt.Errorf("experiment %s: %d-node run did not complete", j.Label, j.Nodes)
+		if err != nil {
+			return zero, err
 		}
-		var sum stats.Summary
-		if streamed {
-			sum = acc.Summary()
-		} else {
-			sum = stats.Summarize(res.TimesUS)
-		}
-		o.progress("%s nodes=%d procs=%d seed=%d mean=%.1fus stddev=%.1fus",
-			j.Label, j.Nodes, c.Procs(), j.SeedIdx, sum.Mean, sum.Stddev)
+		progress("%s%s", tag(r), summary(v))
 		if c.Group != nil {
 			gs := c.Group.Stats()
-			ns := c.Fabric.Stats()
 			avg := 0.0
 			if gs.Windows > 0 {
 				avg = float64(gs.ActiveShardWindows) / float64(gs.Windows)
 			}
-			o.progress("%s nodes=%d seed=%d pdes windows=%d cross-events=%d cross-sends=%d avg-active-shards=%.1f barrier-stall=%.0fms",
-				j.Label, j.Nodes, j.SeedIdx, gs.Windows, gs.CrossShardEvents,
-				ns.CrossShardSends, avg, float64(gs.BarrierStallNs)/1e6)
+			progress("%s pdes windows=%d cross-events=%d cross-sends=%d avg-active-shards=%.1f barrier-stall=%.0fms",
+				tag(r), gs.Windows, gs.CrossShardEvents, c.Fabric.Stats().CrossShardSends, avg, float64(gs.BarrierStallNs)/1e6)
 		}
-		r := runOut{procs: c.Procs(), mean: sum.Mean, stddev: sum.Stddev}
-		if cp != nil {
-			cp.record(key, r)
-		}
-		return r, nil
+		return v, nil
 	})
-	// Quarantine isolated failures: the cell keeps its processor count (so
-	// table rows stay aligned) with NaN statistics, which render as "-" and
-	// suppress the fit. Any non-quarantinable error — lowest index first,
-	// matching parallel.Map's old contract — fails the sweep.
 	quarantined := 0
 	for i, err := range errs {
 		if err == nil {
@@ -203,63 +158,110 @@ func runJobs(o Options, jobs []runDesc, streamed bool) ([]runOut, error) {
 		if !quarantinable(err) {
 			return nil, err
 		}
-		j := jobs[i]
-		outs[i] = runOut{procs: j.Cfg.Nodes * j.Cfg.TasksPerNode, mean: math.NaN(), stddev: math.NaN()}
-		o.progress("%s nodes=%d seed=%d QUARANTINED: %v", j.Label, j.Nodes, j.SeedIdx, err)
+		outs[i] = dash
+		progress("%s QUARANTINED: %v", tag(runs[i]), err)
 		quarantined++
 	}
-	if quarantined == len(jobs) && len(jobs) > 0 {
-		first := 0
-		for i, err := range errs {
-			if err != nil {
-				first = i
-				break
-			}
-		}
-		return nil, fmt.Errorf("experiment: all %d runs quarantined; first failure: %w", quarantined, errs[first])
+	if quarantined > 0 && quarantined == len(runs) {
+		return nil, fmt.Errorf("experiment: all %d runs quarantined; first failure: %w", quarantined, errs[0])
 	}
 	return outs, nil
 }
 
-// variantSpec names one configuration of a design-choice sweep.
-type variantSpec struct {
-	tag string
-	cfg func(seed int64) cluster.Config
+// summary is v's progress-line suffix: its String form when it has one.
+func summary(v any) string {
+	if s, ok := v.(fmt.Stringer); ok {
+		return " " + s.String()
+	}
+	return ""
 }
 
-// meanSD is one variant's aggregate over seeds.
-type meanSD struct {
+// row is one run's table cells.
+type row []float64
+
+// nanRow is the quarantined value of an n-cell row: every cell renders "-".
+func nanRow(n int) row {
+	r := make(row, n)
+	for i := range r {
+		r[i] = math.NaN()
+	}
+	return r
+}
+
+func (r row) String() string {
+	cells := make([]string, len(r))
+	for i, v := range r {
+		cells[i] = fmt.Sprintf("%.4g", v)
+	}
+	return strings.Join(cells, " ")
+}
+
+// runOut is the aggregate-benchmark outcome of one run.
+type runOut struct {
 	mean   float64
 	stddev float64
 }
 
-// runVariantMeans runs every (variant, seed) combination of a sweep
-// through the work pool and aggregates per variant in declaration order:
-// the grand mean of per-run means and the mean of per-run stddevs, exactly
-// as the serial per-variant loop did.
-func runVariantMeans(o Options, label string, nodes int, variants []variantSpec) ([]meanSD, error) {
-	jobs := make([]runDesc, 0, len(variants)*o.Seeds)
-	for _, v := range variants {
-		for s := 0; s < o.Seeds; s++ {
-			seed := o.BaseSeed + int64(s)
-			jobs = append(jobs, runDesc{
-				Label: label + "/" + v.tag, Nodes: nodes, SeedIdx: s, Seed: seed, Cfg: v.cfg(seed),
-			})
+func (r runOut) String() string { return fmt.Sprintf("mean=%.1fus stddev=%.1fus", r.mean, r.stddev) }
+
+// pointStats is one sweep point's aggregate over its seeds.
+type pointStats struct {
+	procs  int
+	mean   float64 // mean Allreduce us, averaged over seeds
+	stddev float64 // within-run stddev, averaged over seeds
+	min    float64
+	max    float64 // spread of per-seed means (run-to-run variability)
+}
+
+// runAggregate runs the paper's aggregate benchmark once per descriptor
+// and folds each consecutive group of seeds runs into one point, in
+// descriptor order: the grand mean of the per-run means, the mean of the
+// per-run stddevs, and the spread of the per-run means. Under
+// CheckpointPath every completed run is appended to the checkpoint file,
+// and under Resume a run found there is replayed instead of simulated.
+func runAggregate(o Options, runs []runDesc, seeds int) ([]pointStats, error) {
+	var cp *checkpoint
+	if o.CheckpointPath != "" {
+		var err error
+		if cp, err = openCheckpoint(o.CheckpointPath, o.Resume, o.fingerprint()); err != nil {
+			return nil, err
 		}
 	}
-	outs, err := runAggregateJobs(o, jobs)
+	key := func(i int) string {
+		r := runs[i]
+		return fmt.Sprintf("%s|%d|%d|%d", r.Label, r.Nodes, r.SeedIdx, r.Seed)
+	}
+	outs, err := runAll(o, runs, runOut{math.NaN(), math.NaN()},
+		func(i int) (runOut, bool) { return cp.lookup(key(i)) },
+		func(i int, c *cluster.Cluster) (runOut, error) {
+			spec := workload.AggregateSpec{Loops: 1, CallsPerLoop: o.callsFor(c.Procs()), Compute: o.ComputeGrain}
+			res, err := workload.RunAggregate(c, spec, 30*sim.Minute)
+			if err != nil {
+				return runOut{}, err
+			}
+			if !res.Completed {
+				return runOut{}, fmt.Errorf("experiment %s: %d-node run did not complete", runs[i].Label, runs[i].Nodes)
+			}
+			sum := stats.Summarize(res.TimesUS)
+			r := runOut{mean: sum.Mean, stddev: sum.Stddev}
+			if c.DeadlineHit() {
+				return r, nil // quarantined by runAll; a replay must not revive it
+			}
+			return r, cp.record(key(i), r)
+		})
 	if err != nil {
 		return nil, err
 	}
-	res := make([]meanSD, len(variants))
-	for vi := range variants {
-		group := outs[vi*o.Seeds : (vi+1)*o.Seeds]
+	pts := make([]pointStats, 0, len(outs)/seeds)
+	for i := 0; i < len(outs); i += seeds {
 		var means, sds []float64
-		for _, r := range group {
+		for _, r := range outs[i : i+seeds] {
 			means = append(means, r.mean)
 			sds = append(sds, r.stddev)
 		}
-		res[vi] = meanSD{mean: stats.Summarize(means).Mean, stddev: stats.Summarize(sds).Mean}
+		ms := stats.Summarize(means)
+		pts = append(pts, pointStats{procs: runs[i].procs(), mean: ms.Mean,
+			stddev: stats.Summarize(sds).Mean, min: ms.Min, max: ms.Max})
 	}
-	return res, nil
+	return pts, nil
 }

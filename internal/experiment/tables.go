@@ -6,7 +6,6 @@ import (
 	"coschedsim/internal/cluster"
 	"coschedsim/internal/mpi"
 	"coschedsim/internal/noise"
-	"coschedsim/internal/parallel"
 	"coschedsim/internal/sim"
 	"coschedsim/internal/stats"
 	"coschedsim/internal/workload"
@@ -64,15 +63,14 @@ func T2PopulatedSpeedup(o Options) (*Table, error) {
 	if nodes > 100 {
 		nodes = 100
 	}
-	// Both configurations are independent runs; hand them to the pool.
-	outs, err := runAggregateJobs(o, []runDesc{
+	pts, err := runAggregate(o, []runDesc{
 		{Label: "t2-vanilla-15tpn", Nodes: nodes, Seed: o.BaseSeed, Cfg: cluster.Vanilla(nodes, 15, o.BaseSeed)},
 		{Label: "t2-prototype-16tpn", Nodes: nodes, Seed: o.BaseSeed, Cfg: cluster.Prototype(nodes, 16, o.BaseSeed)},
-	})
+	}, 1)
 	if err != nil {
 		return nil, err
 	}
-	s15, s16 := outs[0], outs[1]
+	s15, s16 := pts[0], pts[1]
 	t := &Table{
 		ID:    "T2",
 		Title: fmt.Sprintf("Fully-populated prototype vs 15 t/n vanilla, %d nodes", nodes),
@@ -83,7 +81,6 @@ func T2PopulatedSpeedup(o Options) (*Table, error) {
 	t.AddRow("vanilla-15tpn", float64(s15.procs), s15.mean, s15.stddev)
 	t.AddRow("prototype-16tpn", float64(s16.procs), s16.mean, s16.stddev)
 	t.AddNote("per-Allreduce speedup of prototype over 15 t/n vanilla: %.0f%% (paper: 154%% at 100 nodes, with one more usable CPU per node)", stats.Speedup(s15.mean, s16.mean))
-	o.progress("t2: 15tpn mean=%.1fus proto mean=%.1fus", s15.mean, s16.mean)
 	return t, nil
 }
 
@@ -113,48 +110,35 @@ func T3ALE3D(o Options) (*Table, error) {
 			{Name: "stalls"},
 		},
 	}
-	type scen struct {
-		tag string
-		cfg cluster.Config
+	tags := []string{"vanilla", "cosched-naive", "cosched-tuned"}
+	var runs []runDesc
+	for i, cfg := range []cluster.Config{
+		cluster.ALE3DVanilla(nodes, 16, o.BaseSeed),
+		cluster.ALE3DNaive(nodes, 16, o.BaseSeed),
+		cluster.ALE3DTuned(nodes, 16, o.BaseSeed),
+	} {
+		runs = append(runs, runDesc{Label: "t3/" + tags[i], Nodes: nodes, Seed: o.BaseSeed, Cfg: cfg})
 	}
-	scens := []scen{
-		{"vanilla", cluster.ALE3DVanilla(nodes, 16, o.BaseSeed)},
-		{"cosched-naive", cluster.ALE3DNaive(nodes, 16, o.BaseSeed)},
-		{"cosched-tuned", cluster.ALE3DTuned(nodes, 16, o.BaseSeed)},
-	}
-	op := o.withSafeProgress()
-	shard := o.shardWorkers()
-	outs, err := parallel.Map(op.workers(), len(scens), func(i int) (workload.ALE3DResult, error) {
-		sc := scens[i]
-		if shard > 1 {
-			sc.cfg.IntraRunWorkers = shard
-		}
-		c, err := cluster.Build(sc.cfg)
-		if err != nil {
-			return workload.ALE3DResult{}, err
-		}
+	outs, err := runAll(o, runs, nanRow(4), nil, func(_ int, c *cluster.Cluster) (row, error) {
 		res, err := workload.RunALE3D(c, spec, 4*sim.Hour)
 		if err != nil {
-			return workload.ALE3DResult{}, err
+			return nil, err
 		}
 		if !res.Completed {
-			return res, fmt.Errorf("experiment t3: ALE3D did not complete")
+			return nil, fmt.Errorf("experiment t3: ALE3D did not complete")
 		}
-		op.progress("t3 %s: wall=%v steps=%v dump=%v", sc.tag, res.Wall, res.StepTime, res.DumpTime)
-		return res, nil
+		return row{res.Wall.Seconds(), res.StepTime.Seconds(), res.DumpTime.Seconds(),
+			float64(res.IOStats.WriterStalls)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, sc := range scens {
-		res := outs[i]
-		t.AddRow(sc.tag, res.Wall.Seconds(), res.StepTime.Seconds(), res.DumpTime.Seconds(),
-			float64(res.IOStats.WriterStalls))
+	for i, tag := range tags {
+		t.AddRow(tag, outs[i]...)
 	}
-	van, tuned := outs[0].Wall, outs[2].Wall
-	if van > 0 {
+	if van, tuned := outs[0][0], outs[2][0]; van > 0 {
 		t.AddNote("tuned vs vanilla: %.1f%% wall-clock reduction (paper: 1315s -> 1152s, a 12.4%% reduction described as 'dropped 24%%')",
-			(1-tuned.Seconds()/van.Seconds())*100)
+			(1-tuned/van)*100)
 	}
 	t.AddNote("paper: the naive co-scheduler *slowed ALE3D down* until the favored priority was set just above the I/O daemons (41 vs mmfsd's 40)")
 	return t, nil
@@ -174,32 +158,24 @@ func T4Noise(o Options) (*Table, error) {
 		Cols:  []Column{{Name: "value"}, {Name: "unit-key"}},
 	}
 	// (a) noise accounting over 60 simulated seconds, standard and heavy.
-	noiseCfgs := []struct {
-		tag string
-		cfg cluster.Config
-	}{
-		{"noise-standard", cluster.Vanilla(1, 16, o.BaseSeed)},
-		{"noise-heavy", func() cluster.Config {
-			c := cluster.Vanilla(1, 16, o.BaseSeed)
-			c.Noise = noise.HeavyConfig()
-			return c
-		}()},
+	noiseTags := []string{"noise-standard", "noise-heavy"}
+	heavy := cluster.Vanilla(1, 16, o.BaseSeed)
+	heavy.Noise = noise.HeavyConfig()
+	var noiseRuns []runDesc
+	for i, cfg := range []cluster.Config{cluster.Vanilla(1, 16, o.BaseSeed), heavy} {
+		noiseRuns = append(noiseRuns, runDesc{Label: "t4-" + noiseTags[i], Nodes: 1, Seed: o.BaseSeed, Cfg: cfg})
 	}
-	op := o.withSafeProgress()
-	fractions, err := parallel.Map(op.workers(), len(noiseCfgs), func(i int) (float64, error) {
-		c, err := cluster.Build(noiseCfgs[i].cfg)
-		if err != nil {
-			return 0, err
-		}
-		// Occupy the CPUs the way a compute phase would.
+	fractions, err := runAll(o, noiseRuns, nanRow(1), nil, func(_ int, c *cluster.Cluster) (row, error) {
+		// Occupy the CPUs the way a compute phase would. The window is
+		// measured whether or not the job completes within the horizon.
 		c.Launch(func(r *mpi.Rank) { r.Compute(60*sim.Second, r.Done) }, 61*sim.Second)
-		return c.Noise[0].Measure(60 * sim.Second).PerCPUFraction, nil
+		return row{c.Noise[0].Measure(60 * sim.Second).PerCPUFraction}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, nc := range noiseCfgs {
-		t.AddRow(nc.tag, fractions[i]*100, 1) // unit-key 1: % per CPU
+	for i, tag := range noiseTags {
+		t.AddRow(tag, fractions[i][0]*100, 1) // unit-key 1: % per CPU
 	}
 	t.AddNote("paper: typical OS and daemon activity consumes 0.2%% to 1.1%% of each CPU on 16-way SP nodes")
 
@@ -218,20 +194,19 @@ func T4Noise(o Options) (*Table, error) {
 		{"allreduce-polling-400ms", 400 * sim.Millisecond},
 		{"allreduce-polling-400s", 400 * sim.Second},
 	}
-	jobs := make([]runDesc, 0, len(pollCfgs))
+	var pollRuns []runDesc
 	for _, pc := range pollCfgs {
 		cfg := cluster.Vanilla(nodes, 16, o.BaseSeed)
 		cfg.Noise = noise.QuietConfig()
 		cfg.MPI.ProgressInterval = pc.interval
-		jobs = append(jobs, runDesc{Label: "t4-" + pc.tag, Nodes: nodes, Seed: o.BaseSeed, Cfg: cfg})
+		pollRuns = append(pollRuns, runDesc{Label: "t4-" + pc.tag, Nodes: nodes, Seed: o.BaseSeed, Cfg: cfg})
 	}
-	outs, err := runAggregateJobs(o, jobs)
+	pts, err := runAggregate(o, pollRuns, 1)
 	if err != nil {
 		return nil, err
 	}
 	for i, pc := range pollCfgs {
-		t.AddRow(pc.tag, outs[i].mean, 2) // unit-key 2: mean us
-		o.progress("t4 %s: mean=%.1fus", pc.tag, outs[i].mean)
+		t.AddRow(pc.tag, pts[i].mean, 2) // unit-key 2: mean us
 	}
 	t.AddNote("paper: raising MP_POLLING_INTERVAL to ~400s removed the progress-engine interference")
 	t.AddNote("unit-key: 1 = %% per CPU over 60s; 2 = mean Allreduce us")
@@ -252,45 +227,32 @@ func T5AllreduceFraction(o Options) (*Table, error) {
 			{Name: "procs"}, {Name: "share", Unit: "%"}, {Name: "wall", Unit: "s"},
 		},
 	}
-	sweep := nodeSweep(o.MaxNodes)
-	type bspOut struct {
-		procs int
-		share float64
-		wall  sim.Time
+	var runs []runDesc
+	for _, nodes := range nodeSweep(o.MaxNodes) {
+		seed := o.BaseSeed + int64(nodes)
+		runs = append(runs, runDesc{Label: "t5", Nodes: nodes, Seed: seed, Cfg: cluster.Vanilla(nodes, 16, seed)})
 	}
-	op := o.withSafeProgress()
-	shard := o.shardWorkers()
-	outs, err := parallel.Map(op.workers(), len(sweep), func(i int) (bspOut, error) {
-		nodes := sweep[i]
-		cfg := cluster.Vanilla(nodes, 16, op.BaseSeed+int64(nodes))
-		if shard > 1 {
-			cfg.IntraRunWorkers = shard
-		}
-		c, err := cluster.Build(cfg)
-		if err != nil {
-			return bspOut{}, err
-		}
-		spec := workload.BSPSpec{
-			Steps:             100,
-			ComputeMean:       sim.Millisecond,
-			ComputeJitter:     200 * sim.Microsecond,
-			AllreducesPerStep: 1,
-		}
+	spec := workload.BSPSpec{
+		Steps:             100,
+		ComputeMean:       sim.Millisecond,
+		ComputeJitter:     200 * sim.Microsecond,
+		AllreducesPerStep: 1,
+	}
+	outs, err := runAll(o, runs, nanRow(2), nil, func(i int, c *cluster.Cluster) (row, error) {
 		res, err := workload.RunBSP(c, spec, 30*sim.Minute)
 		if err != nil {
-			return bspOut{}, err
+			return nil, err
 		}
 		if !res.Completed {
-			return bspOut{}, fmt.Errorf("experiment t5: %d-node run did not complete", nodes)
+			return nil, fmt.Errorf("experiment t5: %d-node run did not complete", runs[i].Nodes)
 		}
-		op.progress("t5 nodes=%d share=%.1f%%", nodes, res.CollectiveShare*100)
-		return bspOut{procs: c.Procs(), share: res.CollectiveShare, wall: res.Wall}, nil
+		return row{res.CollectiveShare * 100, res.Wall.Seconds()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range outs {
-		t.AddRow("", float64(r.procs), r.share*100, r.wall.Seconds())
+	for i, r := range runs {
+		t.AddRow("", append(row{float64(r.procs())}, outs[i]...)...)
 	}
 	t.AddNote("paper context: Allreduces consume >50%% of total time at 1728 processors and >70%% at 4096 (ASCI White/Q measurements)")
 	return t, nil

@@ -16,7 +16,7 @@ func TestAccountingIdentities(t *testing.T) {
 	eng := sim.NewEngine(5)
 	n := MustNode(eng, 0, opts)
 	n.Start()
-	rng := eng.Rand("acct")
+	rng := eng.CounterRand("acct")
 
 	var threads []*Thread
 	for i := 0; i < 12; i++ {

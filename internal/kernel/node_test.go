@@ -759,7 +759,7 @@ func TestDeterministicRuns(t *testing.T) {
 		eng := sim.NewEngine(42)
 		n := MustNode(eng, 0, opts)
 		n.Start()
-		rng := eng.Rand("test")
+		rng := eng.CounterRand("test")
 		var completions []sim.Time
 		for i := 0; i < 8; i++ {
 			th := n.NewThread("w", Priority(50+rng.Intn(60)), i%4)

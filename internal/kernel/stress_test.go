@@ -23,7 +23,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 			eng := sim.NewEngine(seed)
 			n := MustNode(eng, 0, opts)
 			n.Start()
-			rng := eng.Rand("stress")
+			rng := eng.CounterRand("stress")
 
 			var threads []*Thread
 			for i := 0; i < 24; i++ {

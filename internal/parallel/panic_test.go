@@ -7,20 +7,21 @@ import (
 	"testing"
 )
 
-// TestMapConvertsPanicToError checks that a panicking job surfaces as a
-// *PanicError instead of crashing the process, on both the serial and the
+// TestMapConvertsPanicToError checks that a panicking job surfaces from
+// MapAll as a *PanicError at its index, with a stack that points at the
+// panic site, instead of crashing the process, on both the serial and the
 // pooled path.
 func TestMapConvertsPanicToError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, 8, func(i int) (int, error) {
+		_, errs := MapAll(workers, 8, func(i int) (int, error) {
 			if i == 3 {
 				panic("boom")
 			}
 			return i, nil
 		})
 		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+		if !errors.As(errs[3], &pe) {
+			t.Fatalf("workers=%d: errs[3] = %v, want *PanicError", workers, errs[3])
 		}
 		if pe.Index != 3 || pe.Value != "boom" {
 			t.Fatalf("workers=%d: PanicError = %+v, want index 3 value boom", workers, pe)

@@ -7,7 +7,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -47,92 +46,16 @@ func safeCall[T any](i int, fn func(i int) (T, error)) (v T, err error) {
 	return fn(i)
 }
 
-// Map runs fn(0), fn(1), ..., fn(n-1) on up to workers goroutines and
-// returns the results indexed by job: out[i] is fn(i)'s value regardless
-// of which worker ran it or when it finished.
+// MapAll runs fn(0), fn(1), ..., fn(n-1) on up to workers goroutines and
+// returns the results indexed by job: out[i] and errs[i] are fn(i)'s value
+// and error regardless of which worker ran it or when it finished (errs[i]
+// == nil on success; panics surface as *PanicError). Every job runs to
+// completion even when others fail, so a caller that skips failed indices
+// aggregates the survivors bit-identically to a serial loop over the same
+// surviving set.
 //
-// On failure, unstarted jobs are canceled and in-flight jobs run to
-// completion (a simulation run is not interruptible mid-flight); the
-// returned error is the one from the lowest-index job that failed. Jobs
-// are dispatched in index order, so every job below the failing index has
-// run by the time Map returns.
-//
-// workers <= 1 degenerates to a plain serial loop on the calling
-// goroutine: execution order, callback order and first-error semantics
-// match a hand-written for loop exactly.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := safeCall(i, fn)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = n
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < errIdx {
-			firstErr, errIdx = err, i
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				v, err := safeCall(i, fn)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
-// MapAll is Map without cancellation: every job runs to completion even when
-// others fail, and failures come back positionally instead of aborting the
-// sweep. out[i] and errs[i] are fn(i)'s value and error (errs[i] == nil on
-// success; panics surface as *PanicError). Surviving results keep submission
-// order exactly as in Map, so a caller that skips failed indices aggregates
-// the survivors bit-identically to a serial loop over the same surviving
-// set.
+// workers <= 1 degenerates to a plain serial loop on the calling goroutine,
+// in index order.
 func MapAll[T any](workers, n int, fn func(i int) (T, error)) ([]T, []error) {
 	out := make([]T, n)
 	errs := make([]error, n)

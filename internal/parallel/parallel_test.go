@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -20,24 +19,19 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-func TestMapEmpty(t *testing.T) {
-	out, err := Map(4, 0, func(i int) (int, error) { return 0, nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("Map over 0 jobs = %v, %v", out, err)
-	}
-}
-
+// TestMapPreservesOrder checks that MapAll's results sit at their job
+// indices even when later jobs finish first.
 func TestMapPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
-		out, err := Map(workers, 37, func(i int) (int, error) {
+		out, errs := MapAll(workers, 37, func(i int) (int, error) {
 			// Stagger completion so later jobs often finish first.
 			time.Sleep(time.Duration(37-i) * 100 * time.Microsecond)
 			return i * i, nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, v := range out {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d: errs[%d] = %v", workers, i, errs[i])
+			}
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
 			}
@@ -45,81 +39,28 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestMapSerialRunsInOrder checks that MapAll's serial path runs the jobs
+// on the calling goroutine in index order.
 func TestMapSerialRunsInOrder(t *testing.T) {
 	var order []int
-	_, err := Map(1, 5, func(i int) (int, error) {
+	MapAll(1, 5, func(i int) (int, error) {
 		order = append(order, i) // no goroutines in the serial path
 		return i, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial execution order = %v", order)
 		}
 	}
-}
-
-func TestMapSerialStopsAtError(t *testing.T) {
-	boom := errors.New("boom")
-	var ran int
-	_, err := Map(1, 10, func(i int) (int, error) {
-		ran++
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if ran != 4 {
-		t.Fatalf("serial path ran %d jobs after error, want 4", ran)
+	if len(order) != 5 {
+		t.Fatalf("serial path ran %d jobs, want 5", len(order))
 	}
 }
 
-func TestMapErrorCancelsRemaining(t *testing.T) {
-	boom := errors.New("boom")
-	var started atomic.Int64
-	_, err := Map(2, 1000, func(i int) (int, error) {
-		started.Add(1)
-		if i == 1 {
-			return 0, boom
-		}
-		time.Sleep(time.Millisecond)
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if n := started.Load(); n >= 1000 {
-		t.Fatalf("all %d jobs started despite early error", n)
-	}
-}
-
-func TestMapReturnsLowestIndexError(t *testing.T) {
-	early, late := errors.New("early"), errors.New("late")
-	// Job 7 fails instantly; job 2 fails after a delay. Both run (2 is
-	// dispatched before 7), so the lowest-index error must win.
-	_, err := Map(8, 8, func(i int) (int, error) {
-		switch i {
-		case 2:
-			time.Sleep(20 * time.Millisecond)
-			return 0, early
-		case 7:
-			return 0, late
-		}
-		return i, nil
-	})
-	if !errors.Is(err, early) {
-		t.Fatalf("err = %v, want the lowest-index job's error", err)
-	}
-}
-
+// TestMapActuallyRunsConcurrently checks that MapAll's pool overlaps jobs.
 func TestMapActuallyRunsConcurrently(t *testing.T) {
 	var inFlight, peak atomic.Int64
-	_, err := Map(4, 16, func(i int) (int, error) {
+	MapAll(4, 16, func(i int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -131,9 +72,6 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 		inFlight.Add(-1)
 		return i, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if peak.Load() < 2 {
 		t.Fatalf("peak concurrency %d, want >= 2", peak.Load())
 	}

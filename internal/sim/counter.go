@@ -1,14 +1,26 @@
 package sim
 
+import "math"
+
+// Source roots the deterministic random streams of one run at its seed.
+// Every stream is a CounterRand named by a string and a stable identity
+// tuple, so adding a new consumer of randomness never perturbs the values
+// existing consumers draw.
+type Source struct {
+	seed int64
+}
+
+// NewSource returns a stream factory rooted at seed.
+func NewSource(seed int64) *Source { return &Source{seed: seed} }
+
 // CounterRand is a counter-based deterministic random stream: draw i is a
 // pure function of (key, i), with the key derived from a stream name and a
-// stable identity tuple (rank, timestep, message index, ...). Unlike the
-// sequential Rand streams, which hand out values in whatever order callers
-// arrive, a CounterRand's values depend only on identity — two runs that
-// draw for the same (key, counter) get the same value no matter how event
-// execution interleaves across engine shards. That property is what lets
-// load imbalance, network jitter and OS-noise sampling run under the
-// sharded parallel core and still match the serial engine bit for bit.
+// stable identity tuple (rank, timestep, message index, ...). A
+// CounterRand's values depend only on identity — two runs that draw for the
+// same (key, counter) get the same value no matter how event execution
+// interleaves across engine shards. That property is what lets load
+// imbalance, network jitter and OS-noise sampling run under the sharded
+// parallel core and still match the serial engine bit for bit.
 //
 // The generator is the SplitMix64 sequence started at the key: draw i is
 // the SplitMix64 finalizer applied to key + (i+1)*gamma with the usual odd
@@ -43,30 +55,64 @@ func (c *CounterRand) Uint64() uint64 {
 }
 
 // Int63n returns a uniform value in [0, n). Panics if n <= 0.
-func (c *CounterRand) Int63n(n int64) int64 { return randInt63n(c, n) }
+func (c *CounterRand) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("sim: Int63n with non-positive n")
+	}
+	// Rejection sampling to avoid modulo bias.
+	max := uint64(math.MaxUint64) - uint64(math.MaxUint64)%uint64(n)
+	for {
+		if v := c.Uint64(); v < max {
+			return int64(v % uint64(n))
+		}
+	}
+}
 
 // Intn returns a uniform value in [0, n). Panics if n <= 0.
-func (c *CounterRand) Intn(n int) int { return int(randInt63n(c, int64(n))) }
+func (c *CounterRand) Intn(n int) int { return int(c.Int63n(int64(n))) }
 
 // Float64 returns a uniform value in [0, 1).
-func (c *CounterRand) Float64() float64 { return randFloat64(c) }
+func (c *CounterRand) Float64() float64 { return float64(c.Uint64()>>11) / (1 << 53) }
 
 // Duration returns a uniform simulated duration in [0, d). Panics if d <= 0.
-func (c *CounterRand) Duration(d Time) Time { return randDuration(c, d) }
+func (c *CounterRand) Duration(d Time) Time { return Time(c.Int63n(int64(d))) }
 
 // Jitter returns base perturbed by a uniform offset in [-spread, +spread],
 // clamped to be non-negative.
-func (c *CounterRand) Jitter(base, spread Time) Time { return randJitter(c, base, spread) }
+func (c *CounterRand) Jitter(base, spread Time) Time {
+	if spread <= 0 {
+		return base
+	}
+	v := base + Time(c.Int63n(int64(2*spread+1))) - spread
+	if v < 0 {
+		return 0
+	}
+	return v
+}
 
 // Exp returns an exponentially distributed duration with the given mean,
-// truncated at 20x the mean.
-func (c *CounterRand) Exp(mean Time) Time { return randExp(c, mean) }
+// truncated at 20x the mean to keep event horizons bounded.
+func (c *CounterRand) Exp(mean Time) Time {
+	if mean <= 0 {
+		return 0
+	}
+	u := c.Float64()
+	// Guard u==0, which would yield +Inf.
+	for u == 0 {
+		u = c.Float64()
+	}
+	d := Time(-math.Log(u) * float64(mean))
+	if limit := 20 * mean; d > limit {
+		return limit
+	}
+	return d
+}
 
 // Key derives the counter-stream key for a named stream qualified by an
-// identity tuple. The name is hashed exactly like Stream's so counter and
-// sequential streams share a namespace rooted at the seed; the ids are then
-// folded in byte-wise and the result is avalanched, so adjacent identities
-// (rank 3 vs rank 4, timestep 17 vs 18) land on well-separated keys.
+// identity tuple. The name and then the ids (byte-wise) are folded into the
+// seed with FNV-style multiplies, and the result is avalanched, so adjacent
+// identities (rank 3 vs rank 4, timestep 17 vs 18) land on well-separated
+// keys.
 func (s *Source) Key(name string, ids ...uint64) uint64 {
 	h := uint64(s.seed) ^ 0x9e3779b97f4a7c15
 	for _, c := range name {

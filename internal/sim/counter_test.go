@@ -109,8 +109,8 @@ func TestCounterRandAdjacentKeysUncorrelated(t *testing.T) {
 		xs := make([]float64, n)
 		ys := make([]float64, n)
 		for i := 0; i < n; i++ {
-			xs[i] = randFloat64(&p.a)
-			ys[i] = randFloat64(&p.b)
+			xs[i] = p.a.Float64()
+			ys[i] = p.b.Float64()
 		}
 		// 3/sqrt(n) ~= 0.033 is a 3-sigma band for independent uniforms.
 		if r := pearson(xs, ys); math.Abs(r) > 3/math.Sqrt(n) {
@@ -151,7 +151,7 @@ func TestCounterRandStreamIndependenceAcrossRanks(t *testing.T) {
 		cr := src.CounterRand("rank-stream", uint64(r))
 		var sum float64
 		for i := 0; i < perRank; i++ {
-			sum += randFloat64(&cr)
+			sum += cr.Float64()
 		}
 		mean := sum / perRank
 		// Each rank's mean has stddev 1/sqrt(12*perRank) ~= 0.0128;
@@ -168,8 +168,7 @@ func TestCounterRandStreamIndependenceAcrossRanks(t *testing.T) {
 	}
 }
 
-// The derived samplers are shared between Rand and CounterRand; spot-check
-// their contracts on the counter implementation.
+// Spot-check the derived samplers' contracts together.
 func TestCounterRandDerivedSamplers(t *testing.T) {
 	src := NewSource(5)
 	cr := src.CounterRand("derived")
@@ -215,5 +214,150 @@ func TestCounterRandShardInvariant(t *testing.T) {
 	serial := NewEngine(123).CounterRand("x", 9)
 	if got := serial.Uint64(); got != want {
 		t.Fatalf("serial engine draws %#x, shard draws %#x", got, want)
+	}
+}
+
+// Named streams are pure functions of (seed, name): the same pair replays
+// the same sequence, and changing either one changes it.
+func TestStreamDeterminism(t *testing.T) {
+	a := NewSource(42).CounterRand("daemons")
+	b := NewSource(42).CounterRand("daemons")
+	for i := 0; i < 1000; i++ {
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("same seed+name diverged at draw %d", i)
+		}
+	}
+}
+
+func TestStreamIndependence(t *testing.T) {
+	a := NewSource(42).CounterRand("daemons")
+	b := NewSource(42).CounterRand("network")
+	same := 0
+	for i := 0; i < 100; i++ {
+		if a.Uint64() == b.Uint64() {
+			same++
+		}
+	}
+	if same > 1 {
+		t.Fatalf("streams with different names matched %d/100 draws", same)
+	}
+}
+
+func TestSeedChangesStream(t *testing.T) {
+	a := NewSource(1).CounterRand("x")
+	b := NewSource(2).CounterRand("x")
+	if a.Uint64() == b.Uint64() && a.Uint64() == b.Uint64() {
+		t.Fatal("different seeds produced identical draws")
+	}
+}
+
+func TestInt63nRange(t *testing.T) {
+	r := NewCounterRand(9)
+	for _, n := range []int64{1, 2, 7, 1000, math.MaxInt64} {
+		for i := 0; i < 200; i++ {
+			v := r.Int63n(n)
+			if v < 0 || v >= n {
+				t.Fatalf("Int63n(%d) = %d out of range", n, v)
+			}
+		}
+	}
+}
+
+func TestInt63nPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int64{0, -1, math.MinInt64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Int63n(%d) did not panic", n)
+				}
+			}()
+			r := NewCounterRand(1)
+			r.Int63n(n)
+		}()
+	}
+}
+
+func TestFloat64Range(t *testing.T) {
+	r := NewCounterRand(5)
+	for i := 0; i < 10000; i++ {
+		v := r.Float64()
+		if v < 0 || v >= 1 {
+			t.Fatalf("Float64 = %v out of [0,1)", v)
+		}
+	}
+}
+
+func TestFloat64Mean(t *testing.T) {
+	r := NewCounterRand(5)
+	sum := 0.0
+	const n = 100000
+	for i := 0; i < n; i++ {
+		sum += r.Float64()
+	}
+	mean := sum / n
+	if math.Abs(mean-0.5) > 0.01 {
+		t.Fatalf("Float64 mean = %v, want ~0.5", mean)
+	}
+}
+
+func TestJitter(t *testing.T) {
+	r := NewCounterRand(11)
+	base, spread := 100*Microsecond, 30*Microsecond
+	for i := 0; i < 1000; i++ {
+		v := r.Jitter(base, spread)
+		if v < base-spread || v > base+spread {
+			t.Fatalf("Jitter out of band: %v", v)
+		}
+	}
+	if r.Jitter(base, 0) != base {
+		t.Fatal("Jitter with zero spread must return base")
+	}
+	// Clamp at zero: a spread of 100 around base 1 goes negative about
+	// half the time.
+	clamped := 0
+	for i := 0; i < 100; i++ {
+		v := r.Jitter(1, 100)
+		if v < 0 {
+			t.Fatalf("Jitter returned negative %v", v)
+		}
+		if v == 0 {
+			clamped++
+		}
+	}
+	if clamped < 25 {
+		t.Fatalf("Jitter(1, 100) hit 0 only %d/100 times; the clamp is not exercised", clamped)
+	}
+}
+
+func TestExpMeanAndTruncation(t *testing.T) {
+	r := NewCounterRand(13)
+	mean := 10 * Millisecond
+	var sum Time
+	const n = 50000
+	for i := 0; i < n; i++ {
+		v := r.Exp(mean)
+		if v < 0 || v > 20*mean {
+			t.Fatalf("Exp out of range: %v", v)
+		}
+		sum += v
+	}
+	got := float64(sum) / n / float64(mean)
+	if got < 0.9 || got > 1.1 {
+		t.Fatalf("Exp sample mean/mean = %v, want ~1", got)
+	}
+	if r.Exp(0) != 0 {
+		t.Fatal("Exp(0) must be 0")
+	}
+}
+
+func TestDurationRange(t *testing.T) {
+	r := NewCounterRand(17)
+	for _, d := range []Time{1, 7, Second, Hour} {
+		for i := 0; i < 1000; i++ {
+			v := r.Duration(d)
+			if v < 0 || v >= d {
+				t.Fatalf("Duration(%v) out of range: %v", d, v)
+			}
+		}
 	}
 }

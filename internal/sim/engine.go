@@ -216,11 +216,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // events count once per arming).
 func (e *Engine) Scheduled() uint64 { return e.scheduled }
 
-// Rand returns a deterministic random stream for the named component.
-// Repeated calls with the same name return independent streams whose
-// sequences depend only on the engine seed and the name.
-func (e *Engine) Rand(name string) *Rand { return e.rng.Stream(name) }
-
 // CounterRand returns the counter-based random stream for (name, ids...)
 // rooted at the engine seed, positioned at counter zero. Every shard of a
 // ShardGroup carries the same seed, so the stream a given identity names is

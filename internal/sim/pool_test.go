@@ -132,7 +132,7 @@ func TestRescheduleStormProperty(t *testing.T) {
 // time ordering with interleaved operations.
 func TestHeapOrderingUnderRandomChurn(t *testing.T) {
 	e := NewEngine(7)
-	rng := e.Rand("churn")
+	rng := e.CounterRand("churn")
 	var lastFired Time
 	ok := true
 	for i := 0; i < 5000; i++ {

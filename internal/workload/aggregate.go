@@ -40,8 +40,9 @@ type AggregateSpec struct {
 	Tracer *trace.Buffer
 	// Stream, when non-nil, receives each timed call's wall time (rank 0's
 	// clock, microseconds) as it completes, and the result retains no
-	// per-call slices: TimesUS and Starts stay empty. The huge sweep tier
-	// uses this to aggregate millions of timings without holding them.
+	// per-call slices: TimesUS and Starts stay empty. It is for callers
+	// that consume the timings as they arrive, such as a benchmark that
+	// marks host time per call.
 	Stream func(callIndex int, us float64)
 }
 
