@@ -2,6 +2,7 @@
 # harness requires. `make check` is what a PR must keep green.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test vet race race-sharded bench bench-record bench-check huge huge-smoke fault-smoke fuzz profile check
 
@@ -11,8 +12,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails when gofmt would reformat a tracked Go file, listing them.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # The experiment harness fans simulation runs out across goroutines; every
 # change must pass the race detector, not just the plain test run.

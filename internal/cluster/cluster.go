@@ -53,27 +53,22 @@ type Config struct {
 	GPFS *gpfs.Config
 
 	// IntraRunWorkers > 1 runs this cluster on the sharded parallel engine
-	// core (sim.CoreSharded): nodes are mapped onto event shards (see
-	// ShardNodeGroup), executed window by window on that many worker
+	// core (sim.CoreSharded): nodes are mapped onto event shards in groups
+	// of consecutive nodes (about four shards per worker, see
+	// autoShardGroup), executed window by window on that many worker
 	// goroutines, with the fabric latency as conservative lookahead. 0 and
 	// 1 select the serial engine. The value is a worker budget for this
 	// single run; the experiment harness divides the sweep-level budget by
 	// it so sweep x intra-run workers never exceeds the -procs total.
-	// Configurations the sharded core cannot execute deterministically
-	// (hardware collectives, single node) silently fall back to the serial
-	// engine — outputs are bit-identical either way, only wall clock
-	// differs. Jitter and workload imbalance draw from counter-based
-	// streams (pure functions of identity) and are fully shard-safe.
+	// Configurations the sharded core cannot execute (hardware collectives,
+	// single node, zero fabric latency) silently fall back to the serial
+	// engine. Sharded output does not depend on the worker count or the
+	// group size, and it matches the serial engine's except in some
+	// jittered configurations, where same-time cross-shard deliveries can
+	// order differently. Jitter and workload imbalance draw from
+	// counter-based streams (pure functions of identity), so they are
+	// shard-safe.
 	IntraRunWorkers int
-
-	// ShardNodeGroup maps several nodes onto one engine shard under the
-	// sharded core: shard count = ceil(Nodes/ShardNodeGroup). 0 picks the
-	// group size automatically from IntraRunWorkers vs node count (about
-	// four shards per worker, so per-window dispatch overhead stays small
-	// at high node counts); 1 pins the one-shard-per-node layout. Outputs
-	// are bit-identical at any group size — the cross-shard merge order is
-	// canonical — only wall clock changes.
-	ShardNodeGroup int
 
 	// Faults enables deterministic fault injection: crashes, stragglers,
 	// link drops, partitions and daemon stalls, all drawn from counter-based
@@ -96,8 +91,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: TasksPerNode %d must be in 1..%d", c.TasksPerNode, c.CPUsPerNode)
 	case !c.SyncClocks && c.ClockSkew < 0:
 		return fmt.Errorf("cluster: negative clock skew")
-	case c.ShardNodeGroup < 0:
-		return fmt.Errorf("cluster: negative ShardNodeGroup")
 	}
 	if c.Kernel.NumCPUs != c.CPUsPerNode {
 		return fmt.Errorf("cluster: Kernel.NumCPUs %d != CPUsPerNode %d", c.Kernel.NumCPUs, c.CPUsPerNode)
@@ -166,13 +159,13 @@ type Cluster struct {
 	groupSize int
 }
 
-// shardable reports whether the configuration can run on the sharded core
-// with bit-identical results. Hardware collectives funnel every rank
-// through one combine accumulator in arrival order — inherently serial. A
-// single node has nothing to shard, and a zero fabric latency gives no
-// lookahead. Network jitter and workload imbalance draw from counter-based
-// streams (pure functions of identity, not execution order) and so no
-// longer gate sharding.
+// shardable reports whether the sharded core can execute the
+// configuration. Hardware collectives funnel every rank through one
+// combine accumulator in arrival order — inherently serial. A single node
+// has nothing to shard, and a zero fabric latency gives no lookahead.
+// Network jitter and workload imbalance draw from counter-based streams
+// (pure functions of identity, not execution order) and so no longer gate
+// sharding.
 func shardable(cfg Config) bool {
 	return cfg.Nodes > 1 &&
 		cfg.Network.Lookahead() > 0 &&
@@ -220,19 +213,14 @@ func Build(cfg Config) (*Cluster, error) {
 		if workers < 1 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		group := cfg.ShardNodeGroup
-		if group < 1 {
-			group = autoShardGroup(cfg.Nodes, workers)
-		}
-		if shards := (cfg.Nodes + group - 1) / group; shards > 1 {
-			c.Group = sim.NewShardGroup(cfg.Seed, shards, workers, cfg.Network.Lookahead())
-			c.groupSize = group
-			c.Eng = c.Group.Shard(0)
-		}
-	}
-	if c.Eng == nil {
-		// Serial engine: unshardable config, or grouping collapsed every
-		// node onto one shard.
+		// This always leaves at least two shards: shardable needs two
+		// nodes, and a group of more than one node is at most a quarter of
+		// them.
+		group := autoShardGroup(cfg.Nodes, workers)
+		c.Group = sim.NewShardGroup(cfg.Seed, (cfg.Nodes+group-1)/group, workers, cfg.Network.Lookahead())
+		c.groupSize = group
+		c.Eng = c.Group.Shard(0)
+	} else {
 		c.Eng = sim.NewEngine(cfg.Seed)
 	}
 	var err error

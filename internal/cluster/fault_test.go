@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"coschedsim/internal/fault"
+	"coschedsim/internal/mpi"
 	"coschedsim/internal/sim"
 )
 
@@ -206,6 +208,80 @@ func TestFaultyScenarioBitIdenticalAcrossCores(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		if got := run(sim.CoreWheel, w); !reflect.DeepEqual(ref, got) {
 			t.Errorf("sharded core @ %d workers diverges from serial wheel:\nserial:  %+v\nsharded: %+v", w, ref, got)
+		}
+	}
+}
+
+// TestFaultSendAccounting checks that every fabric attempt, delivered or
+// dropped, is either a message's first send or a counted retransmit:
+// Messages+Dropped == P2PSends+Retries on the heap, wheel and sharded
+// cores. Fault-free presets pin the identity with nothing dropped; the
+// abort configuration pins that a retransmit scheduled before the job
+// aborted, and so never made, is not counted.
+func TestFaultSendAccounting(t *testing.T) {
+	abort := func(seed int64) Config {
+		cfg := Vanilla(4, 16, seed)
+		cfg.Faults = &fault.Config{Policy: fault.PolicyRetry, DropRate: 0.05, DetectLatency: detect}
+		cfg.MPI.SendTimeout = 200 * sim.Microsecond
+		cfg.MPI.SendRetries = 1
+		return cfg
+	}
+	type accountingCase struct {
+		name   string
+		cfg    Config
+		aborts bool
+	}
+	cases := []accountingCase{
+		{"vanilla", Vanilla(4, 16, 1), false},
+		{"prototype", Prototype(4, 16, 1), false},
+		{"ale3d-tuned", ALE3DTuned(4, 16, 1), false},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		cases = append(cases, accountingCase{fmt.Sprintf("abort-seed%d", seed), abort(seed), true})
+	}
+	cores := []struct {
+		name    string
+		core    sim.Core
+		workers int
+	}{{"heap", sim.CoreHeap, 0}, {"wheel", sim.CoreWheel, 0}, {"sharded@2", sim.CoreWheel, 2}}
+	for _, tc := range cases {
+		for _, core := range cores {
+			t.Run(tc.name+"/"+core.name, func(t *testing.T) {
+				prev := sim.DefaultCore
+				sim.DefaultCore = core.core
+				defer func() { sim.DefaultCore = prev }()
+				cfg := tc.cfg
+				cfg.IntraRunWorkers = core.workers
+				c := MustBuild(cfg)
+				if (c.Group != nil) != (core.workers > 1) {
+					t.Fatalf("sharded=%v, want %v", c.Group != nil, core.workers > 1)
+				}
+				_, ok := c.Launch(func(r *mpi.Rank) {
+					var loop func(i int)
+					loop = func(i int) {
+						if i == 60 {
+							r.Done()
+							return
+						}
+						r.Compute(sim.Millisecond, func() {
+							r.Allreduce(1, func(float64) { loop(i + 1) })
+						})
+					}
+					loop(0)
+				}, 10*sim.Minute)
+				if ok == tc.aborts {
+					t.Fatalf("completed=%v, want %v", ok, !tc.aborts)
+				}
+				net, fs := c.Fabric.Stats(), c.Job.FaultStats()
+				if net.Dropped != fs.Dropped {
+					t.Errorf("fabric dropped %d, MPI dropped %d", net.Dropped, fs.Dropped)
+				}
+				attempts, sends := net.Messages+net.Dropped, c.Job.P2PSends()+fs.Retries
+				if attempts != sends {
+					t.Errorf("fabric attempts (Messages %d + Dropped %d) = %d, sends (P2PSends %d + Retries %d) = %d",
+						net.Messages, net.Dropped, attempts, c.Job.P2PSends(), fs.Retries, sends)
+				}
+			})
 		}
 	}
 }

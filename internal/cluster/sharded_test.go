@@ -159,8 +159,6 @@ func TestShardedGating(t *testing.T) {
 			c.MPI.HWCollectiveLatency = 20 * sim.Microsecond
 		}, false},
 		{"one-node", func(c *Config) { c.Nodes = 1 }, false},
-		// A node group spanning every node collapses to one shard — serial.
-		{"group-covers-all-nodes", func(c *Config) { c.ShardNodeGroup = 4 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,12 +180,12 @@ func TestShardedGating(t *testing.T) {
 }
 
 // TestShardNodeGroupBitIdentical pins node-group shards (several nodes per
-// engine shard): group sizes 1, 2 and 4 on an 8-node cluster must all
-// reproduce the serial fingerprint exactly, at multiple worker counts.
+// engine shard): on a 16-node cluster, 1, 2 and 4 workers give group sizes
+// 4, 2 and 1, and each must reproduce the serial fingerprint exactly.
 func TestShardNodeGroupBitIdentical(t *testing.T) {
 	const calls = 40
 	base := func(s int64) Config {
-		cfg := Vanilla(8, 8, s)
+		cfg := Vanilla(16, 8, s)
 		cfg.CPUsPerNode = 8
 		cfg.Kernel.NumCPUs = 8
 		cfg.TasksPerNode = 8
@@ -198,30 +196,28 @@ func TestShardNodeGroupBitIdentical(t *testing.T) {
 	if refC.Group != nil {
 		t.Fatal("serial build unexpectedly sharded")
 	}
-	for _, group := range []int{1, 2, 4} {
-		for _, workers := range []int{2, 3} {
-			cfg := base(11)
-			cfg.IntraRunWorkers = workers
-			cfg.ShardNodeGroup = group
-			times, done, sends, c := allreduceTrace(t, cfg, calls)
-			if c.Group == nil {
-				t.Fatalf("group=%d workers=%d: build not sharded", group, workers)
-			}
-			if want := (8 + group - 1) / group; c.Group.Shards() != want {
-				t.Fatalf("group=%d: %d shards, want %d", group, c.Group.Shards(), want)
-			}
-			if c.ShardOf(7) != 7/group {
-				t.Fatalf("group=%d: node 7 on shard %d, want %d", group, c.ShardOf(7), 7/group)
-			}
-			if done != refDone || sends != refSends {
-				t.Fatalf("group=%d workers=%d: done=%v sends=%d, want %v/%d",
-					group, workers, done, sends, refDone, refSends)
-			}
-			for i := range times {
-				if times[i] != refTimes[i] {
-					t.Fatalf("group=%d workers=%d: call %d took %v, want %v",
-						group, workers, i, times[i], refTimes[i])
-				}
+	prev := sim.DefaultCore
+	sim.DefaultCore = sim.CoreSharded
+	defer func() { sim.DefaultCore = prev }()
+	for _, tc := range []struct{ workers, group int }{{1, 4}, {2, 2}, {4, 1}} {
+		cfg := base(11)
+		cfg.IntraRunWorkers = tc.workers
+		times, done, sends, c := allreduceTrace(t, cfg, calls)
+		if c.Group == nil {
+			t.Fatalf("workers=%d: build not sharded", tc.workers)
+		}
+		if want := 16 / tc.group; c.Group.Shards() != want {
+			t.Fatalf("workers=%d: %d shards, want %d", tc.workers, c.Group.Shards(), want)
+		}
+		if c.ShardOf(15) != 15/tc.group {
+			t.Fatalf("workers=%d: node 15 on shard %d, want %d", tc.workers, c.ShardOf(15), 15/tc.group)
+		}
+		if done != refDone || sends != refSends {
+			t.Fatalf("workers=%d: done=%v sends=%d, want %v/%d", tc.workers, done, sends, refDone, refSends)
+		}
+		for i := range times {
+			if times[i] != refTimes[i] {
+				t.Fatalf("workers=%d: call %d took %v, want %v", tc.workers, i, times[i], refTimes[i])
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package cluster
 
 import "testing"
 
-// TestAutoShardGroupHighNodeCounts validates the ShardNodeGroup auto-size
+// TestAutoShardGroupHighNodeCounts validates the shard group-size
 // heuristic (nodes/(4*workers)) at the huge tier's node counts: the shard
 // count it induces must give the worker pool real slack (at least two
 // shards per worker, so window-level load imbalance can be absorbed by the
@@ -37,7 +37,6 @@ func TestAutoShardGroupWindowStats(t *testing.T) {
 	const nodes, workers = 64, 2
 	cfg := Vanilla(nodes, 16, 7)
 	cfg.IntraRunWorkers = workers
-	// ShardNodeGroup left at 0: exercise the auto path under test.
 	_, _, _, c := allreduceTrace(t, cfg, 12)
 	if c.Group == nil {
 		t.Fatal("expected the sharded core for a 64-node run with IntraRunWorkers=2")

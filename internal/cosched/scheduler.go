@@ -22,9 +22,8 @@ type Transition struct {
 // implements mpi.Registry so the MPI library's control-pipe messages reach
 // it directly.
 type Scheduler struct {
-	params      Params
-	nodes       map[*kernel.Node]*nodeSched
-	recordTrans bool
+	params Params
+	nodes  map[*kernel.Node]*nodeSched
 }
 
 // New creates a scheduler with the given class parameters.
@@ -33,9 +32,8 @@ func New(params Params) (*Scheduler, error) {
 		return nil, err
 	}
 	return &Scheduler{
-		params:      params,
-		nodes:       map[*kernel.Node]*nodeSched{},
-		recordTrans: true,
+		params: params,
+		nodes:  map[*kernel.Node]*nodeSched{},
 	}, nil
 }
 
@@ -50,10 +48,6 @@ func MustNew(params Params) *Scheduler {
 
 // Params returns the active class parameters.
 func (s *Scheduler) Params() Params { return s.params }
-
-// RecordTransitions toggles the transition log (on by default; long runs on
-// many nodes may want it off).
-func (s *Scheduler) RecordTransitions(on bool) { s.recordTrans = on }
 
 // Transitions returns the window-edge log, sorted by (Time, Node). Edges
 // are recorded per node daemon — so daemons on different engine shards
@@ -274,10 +268,8 @@ func (ns *nodeSched) maybeExit() bool {
 // same-seed reproducibility.
 func (ns *nodeSched) setFavored(fav bool) {
 	ns.inFavored = fav
-	if ns.sched.recordTrans {
-		ns.transitions = append(ns.transitions,
-			Transition{Time: ns.node.Engine().Now(), Node: ns.node.ID(), Favored: fav})
-	}
+	ns.transitions = append(ns.transitions,
+		Transition{Time: ns.node.Engine().Now(), Node: ns.node.ID(), Favored: fav})
 	ids := make([]int, 0, len(ns.procs))
 	for id := range ns.procs {
 		ids = append(ids, id)

@@ -33,12 +33,15 @@ type cpEntry struct {
 }
 
 // fingerprint digests the option fields that determine run outputs.
-// Parallelism and ShardWorkers are deliberately excluded: outputs are
-// bit-identical at any worker count, so a sweep may resume with a different
+// Whether runs are sharded is one of them: the sharded core's output does
+// not depend on its worker count, but it does not match the serial engine
+// in every jittered configuration, so a serial checkpoint must not replay
+// into a sharded sweep or the reverse. Parallelism and the worker count
+// among sharded runs are left out, so a sweep may resume with a different
 // worker budget than the one that started it.
 func (o Options) fingerprint() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("seed=%d nodes=%d calls=%d seeds=%d grain=%d window=%d",
-		o.BaseSeed, o.MaxNodes, o.Calls, o.Seeds, o.ComputeGrain, o.Window)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("seed=%d nodes=%d calls=%d seeds=%d grain=%d window=%d sharded=%t",
+		o.BaseSeed, o.MaxNodes, o.Calls, o.Seeds, o.ComputeGrain, o.Window, o.shardWorkers() > 1)))
 	return fmt.Sprintf("%x", h[:8])
 }
 

@@ -46,14 +46,16 @@ type Options struct {
 	// any parallelism.
 	Parallelism int
 	// ShardWorkers > 1 additionally parallelizes *inside* each simulation
-	// run: clusters are built on the sharded engine core (one event shard
-	// per node, conservative time windows) with this many intra-run
+	// run: clusters are built on the sharded engine core (nodes grouped
+	// onto event shards, conservative time windows) with this many intra-run
 	// workers. The Parallelism value is the TOTAL worker budget — the
 	// sweep-level pool shrinks to Parallelism/ShardWorkers workers so
 	// sweep x intra-run never oversubscribes it. ShardWorkers above the
-	// budget is clamped to it. Outputs are bit-identical at any setting;
-	// only wall-clock and its distribution across runs change. 0 and 1
-	// keep runs on the serial engine.
+	// budget is clamped to it. Outputs do not depend on the value above 1,
+	// and they match the serial engine's except in some jittered
+	// configurations, where same-time cross-shard deliveries can order
+	// differently (see cluster.Config.IntraRunWorkers). 0 and 1 keep runs
+	// on the serial engine.
 	ShardWorkers int
 	// Progress, when non-nil, receives one line per run, tagged with its
 	// label, nodes and seed (sharded runs add one engine-window line). Under

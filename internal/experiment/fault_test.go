@@ -247,6 +247,82 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeKeepsEngine checks that a serial sweep's checkpoint is
+// not replayed into a sharded sweep. The run is one the two engines
+// disagree on (fabric jitter at a cut 12us latency, seed 3), so a resumed
+// ShardWorkers 2 sweep gives the fresh ShardWorkers 2 cells only if it
+// re-simulates instead of replaying the serial ones.
+func TestCheckpointResumeKeepsEngine(t *testing.T) {
+	path := t.TempDir() + "/sweep.jsonl"
+	sweep := func(o Options) pointStats {
+		t.Helper()
+		defer resetCheckpointsForTest()
+		runs := o.seeded(nil, "jitter-cut", 8, 3, func(seed int64) cluster.Config {
+			cfg := cluster.Vanilla(8, 16, seed)
+			cfg.Network.Jitter = 2 * sim.Microsecond
+			cfg.Network.Latency = 12 * sim.Microsecond
+			return cfg
+		})
+		pts, err := runAggregate(o, runs, o.Seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts[0]
+	}
+	base := Options{MaxNodes: 8, Calls: 128, Seeds: 1, BaseSeed: 1, Parallelism: 2}
+	serial := base
+	serial.CheckpointPath = path
+	serialPt := sweep(serial)
+	sharded := base
+	sharded.ShardWorkers = 2
+	fresh := sweep(sharded)
+	if fresh == serialPt {
+		t.Fatal("serial and sharded cells agree, so this run no longer tells a replayed serial cell apart")
+	}
+	resumed := sharded
+	resumed.CheckpointPath = path
+	resumed.Resume = true
+	if got := sweep(resumed); got != fresh {
+		t.Fatalf("resumed sharded sweep = %+v, fresh sharded sweep = %+v (serial %+v)", got, fresh, serialPt)
+	}
+}
+
+// TestCheckpointReplaysAcrossShardWorkerCounts checks the other half of the
+// fingerprint: sharded output does not depend on the worker count, so a
+// ShardWorkers 2 checkpoint replays in full at ShardWorkers 4.
+func TestCheckpointReplaysAcrossShardWorkerCounts(t *testing.T) {
+	o := detOptions()
+	o.Parallelism, o.ShardWorkers = 2, 2
+	o.CheckpointPath = t.TempDir() + "/sweep.jsonl"
+	render := func(o Options) []byte {
+		t.Helper()
+		defer resetCheckpointsForTest()
+		tab, err := Fig3VanillaScaling(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		tab.Render(&buf)
+		tab.CSV(&buf)
+		return buf.Bytes()
+	}
+	first := render(o)
+	o.Parallelism, o.ShardWorkers, o.Resume = 4, 4, true
+	var lines []string
+	o.Progress = func(l string) { lines = append(lines, l) }
+	if second := render(o); !bytes.Equal(first, second) {
+		t.Errorf("replayed table differs:\n--- first ---\n%s\n--- replayed ---\n%s", first, second)
+	}
+	if len(lines) != 6 { // detOptions: nodes {1,2,4} x 2 seeds
+		t.Fatalf("%d progress lines, want 6", len(lines))
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "checkpoint cached") {
+			t.Fatalf("a ShardWorkers 2 checkpoint did not replay at ShardWorkers 4: %s", l)
+		}
+	}
+}
+
 // TestQuarantineNonAggregateRow checks that quarantine reaches the
 // experiments outside the aggregate benchmark: a panicking build in one t5
 // run turns that row into "-" cells while its processor count and the

@@ -149,9 +149,6 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Buffered reports bytes currently awaiting drain.
-func (s *Service) Buffered() int { return int(s.buffered) }
-
 // Write buffers bytes for th, charging the copy cost; if the buffer is full
 // the task blocks until mmfsd drains enough space. Call from th's
 // continuation; then runs in continuation context.

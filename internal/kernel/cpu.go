@@ -24,14 +24,8 @@ type CPU struct {
 // Index returns the CPU's index within its node.
 func (c *CPU) Index() int { return c.idx }
 
-// Current returns the running thread, or nil when idle.
-func (c *CPU) Current() *Thread { return c.current }
-
 // Idle reports whether no thread is running here.
 func (c *CPU) Idle() bool { return c.current == nil }
-
-// QueueLen reports the number of ready threads bound to this CPU.
-func (c *CPU) QueueLen() int { return c.localQ.Len() }
 
 // CPUStats is a snapshot of one CPU's accounting.
 type CPUStats struct {

@@ -5,8 +5,8 @@ import "math/bits"
 // Collectives are implemented with the standard algorithms the paper's MPI
 // used: recursive doubling with a non-power-of-two fold for Allreduce (the
 // "standard tree algorithm ... no more than 2*log2(N) point to point
-// communications"), a dissemination Barrier, and a ring Allgather. They
-// carry real values so tests can check numerical correctness.
+// communications"), a dissemination Barrier, and a nearest-neighbour ring
+// exchange. They carry real values so tests can check numerical correctness.
 
 // tag space layout per collective instance: 64 tags.
 const (
@@ -220,41 +220,6 @@ func (r *Rank) Barrier(then func()) {
 	s.bThen = then
 	s.k = 0
 	s.bRound()
-}
-
-// Allgather collects every rank's value; continues with a slice indexed by
-// rank. Ring algorithm: N-1 steps, each passing the newest value along.
-func (r *Rank) Allgather(value float64, then func(values []float64)) {
-	n := r.Size()
-	base := r.nextTagBase()
-	values := make([]float64, n)
-	values[r.id] = value
-	if n == 1 {
-		r.thread.Run(0, func() { then(values) })
-		return
-	}
-	right := (r.id + 1) % n
-	left := (r.id - 1 + n) % n
-	bytes := r.job.cfg.ElemBytes
-
-	var step func(k int)
-	step = func(k int) {
-		if k >= n-1 {
-			then(values)
-			return
-		}
-		// In step k we forward the value that originated at id-k and
-		// receive the one that originated at id-k-1 (mod n).
-		sendIdx := (r.id - k + n*n) % n
-		recvIdx := (r.id - k - 1 + n*n) % n
-		r.Send(right, base+tagRound0+k%60, values[sendIdx], bytes, func() {
-			r.Recv(left, base+tagRound0+k%60, func(v float64) {
-				values[recvIdx] = v
-				step(k + 1)
-			})
-		})
-	}
-	step(0)
 }
 
 // RingExchange performs a nearest-neighbor halo exchange: send value to both

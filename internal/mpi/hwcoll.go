@@ -1,7 +1,5 @@
 package mpi
 
-import "coschedsim/internal/sim"
-
 // Hardware-assisted collectives implement the paper's second §7 proposal:
 // "combine the techniques described in this paper with complementary
 // techniques designed to improve fine-grain parallel processing (e.g.,
@@ -61,7 +59,3 @@ func (r *Rank) hwAllreduce(value float64, then func(sum float64)) {
 func (c Config) hwEnabled() bool {
 	return c.HardwareCollectives && c.HWCollectiveLatency > 0
 }
-
-// defaultHWCollectiveLatency is a switch-adapter combine time of the era's
-// proposed collective offload engines.
-const defaultHWCollectiveLatency = 25 * sim.Microsecond

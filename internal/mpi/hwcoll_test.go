@@ -118,8 +118,8 @@ func TestHWConfigValidation(t *testing.T) {
 	}
 }
 
-// TestHWAllreduceMixesWithSoftwareCollectives: Barrier and the rooted
-// collectives still use the software paths alongside offloaded Allreduces.
+// TestHWAllreduceMixesWithSoftwareCollectives: Barrier and RingExchange
+// still use the software paths alongside offloaded Allreduces.
 func TestHWAllreduceMixesWithSoftwareCollectives(t *testing.T) {
 	const n = 9
 	eng, job := testCluster(t, 5, n, 3, hwConfig())
@@ -130,8 +130,8 @@ func TestHWAllreduceMixesWithSoftwareCollectives(t *testing.T) {
 				ok = false
 			}
 			r.Barrier(func() {
-				r.Reduce(0, float64(r.ID()), func(sum float64) {
-					if r.ID() == 0 && sum != float64(n*(n-1)/2) {
+				r.RingExchange(float64(r.ID()), 8, func(l, rt float64) {
+					if l != float64((r.ID()+n-1)%n) || rt != float64((r.ID()+1)%n) {
 						ok = false
 					}
 					r.Done()

@@ -1,7 +1,7 @@
 // Package mpi models the IBM MPI runtime the paper's benchmark exercises:
 // SPMD jobs of one task per processor, point-to-point messaging with
-// tag/source matching over the switch fabric, tree/recursive-doubling
-// collectives (Allreduce, Barrier, Allgather, ring exchange), the
+// tag/source matching over the switch fabric, recursive-doubling and
+// dissemination collectives (Allreduce, Barrier, ring exchange), the
 // progress-engine "MPI timer threads" whose 400ms wakeups disrupt tightly
 // synchronized collectives, and the control-pipe registration/attach/detach
 // protocol the co-scheduler uses to learn task PIDs.
@@ -47,14 +47,6 @@ type Config struct {
 	// threads (user processes; the co-scheduler re-prioritizes them).
 	TaskPriority kernel.Priority
 
-	// WaitMode selects how a task waits for an unmatched receive.
-	WaitMode WaitMode
-
-	// LongVectorBytes is the payload size at which AllreduceVec switches
-	// from recursive doubling to Rabenseifner's reduce-scatter/allgather
-	// algorithm (MPI implementations switch around a few KB).
-	LongVectorBytes int
-
 	// HardwareCollectives offloads Allreduce to the switch's combine engine
 	// (the paper's §7 "hardware assisted collectives"): one send and one
 	// wait per task instead of a 2*log2(N)-message software tree.
@@ -75,18 +67,6 @@ type Config struct {
 	SendRetries int
 }
 
-// WaitMode is the MP_WAIT_MODE equivalent.
-type WaitMode uint8
-
-const (
-	// WaitPoll busy-waits, burning the CPU until the message arrives —
-	// IBM MPI's default, and the reason MPI tasks hold their processors
-	// even while "waiting".
-	WaitPoll WaitMode = iota
-	// WaitBlock sleeps the task, freeing the CPU (interrupt mode).
-	WaitBlock
-)
-
 // DefaultConfig is calibrated per DESIGN.md §4.
 func DefaultConfig() Config {
 	return Config{
@@ -98,8 +78,6 @@ func DefaultConfig() Config {
 		ProgressInterval: 400 * sim.Millisecond,
 		ProgressBurst:    350 * sim.Microsecond,
 		TaskPriority:     kernel.PrioUserNormal,
-		WaitMode:         WaitPoll,
-		LongVectorBytes:  4096,
 	}
 }
 
@@ -116,8 +94,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mpi: negative progress burst")
 	case c.HardwareCollectives && c.HWCollectiveLatency <= 0:
 		return fmt.Errorf("mpi: hardware collectives need a positive combine latency")
-	case c.LongVectorBytes < 0:
-		return fmt.Errorf("mpi: negative long-vector threshold")
 	case c.SendRetries < 0:
 		return fmt.Errorf("mpi: negative send retries")
 	case c.SendRetries > 16:

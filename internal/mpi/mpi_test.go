@@ -186,30 +186,6 @@ func TestBarrierSemantics(t *testing.T) {
 	}
 }
 
-func TestAllgatherCorrectness(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 11} {
-		eng, job := testCluster(t, 5, n, 4, quietConfig())
-		results := make([][]float64, n)
-		job.Launch(func(r *Rank) {
-			r.Allgather(float64(100+r.ID()), func(vs []float64) {
-				results[r.ID()] = vs
-				r.Done()
-			})
-		})
-		runToCompletion(t, eng, job)
-		for rank, vs := range results {
-			if len(vs) != n {
-				t.Fatalf("n=%d rank %d got %d values", n, rank, len(vs))
-			}
-			for i, v := range vs {
-				if v != float64(100+i) {
-					t.Fatalf("n=%d rank %d values[%d] = %v, want %d", n, rank, i, v, 100+i)
-				}
-			}
-		}
-	}
-}
-
 func TestRingExchangeCorrectness(t *testing.T) {
 	const n = 7
 	eng, job := testCluster(t, 7, n, 4, quietConfig())

@@ -36,12 +36,6 @@ type arrival struct {
 	msg message
 }
 
-// vecArrival is the vector-payload side table's analogue of arrival.
-type vecArrival struct {
-	key msgKey
-	vec []float64
-}
-
 // Rank is one MPI task: a kernel thread bound to a CPU plus the library
 // state (pending arrivals, pending receive, collective sequence counter).
 // Ranks live in the Job's flat ranks array (struct-of-arrays layout): one
@@ -65,8 +59,7 @@ type Rank struct {
 	thread   *kernel.Thread
 	progress *kernel.Thread
 
-	pending    []arrival    // early arrivals in delivery order, backing array reused
-	vecPending []vecArrival // vector payloads riding the side table
+	pending []arrival // early arrivals in delivery order, backing array reused
 
 	// Pending receive (at most one per rank, MPI semantics).
 	recvArmed bool
@@ -160,6 +153,9 @@ func (r *Rank) trySend(target *Rank, bytes int, idx uint64, deliver func()) {
 		if r.failed {
 			return // the rank died while backing off
 		}
+		if attempt > 0 {
+			r.retries++ // counted when made, not when scheduled
+		}
 		if !j.faults.DropMessage(eng.Now(), r.node.ID(), target.node.ID(), r.id, idx, attempt) {
 			j.fabric.Send(r.node.ID(), target.node.ID(), bytes, deliver)
 			return
@@ -171,7 +167,6 @@ func (r *Rank) trySend(target *Rank, bytes int, idx uint64, deliver func()) {
 			return
 		}
 		attempt++
-		r.retries++
 		eng.After(j.cfg.SendTimeout<<(attempt-1), "mpi-retransmit", attemptFn)
 	}
 	attemptFn()
@@ -329,8 +324,9 @@ func (r *Rank) takePending(key msgKey) (message, bool) {
 
 // Recv waits for a message from src under tag and continues with its value.
 // If the message already arrived it completes after the receive overhead;
-// otherwise the task blocks (the progress engine and scheduler decide when
-// it runs again — this is precisely where OS noise injects latency).
+// otherwise the task spin-waits, as IBM MPI's default poll mode does: it
+// holds its CPU while "waiting", and the scheduler decides when it runs
+// again — this is precisely where OS noise injects latency.
 func (r *Rank) Recv(src, tag int, then func(value float64)) {
 	key := msgKey{src: src, tag: tag}
 	if msg, ok := r.takePending(key); ok {
@@ -344,24 +340,16 @@ func (r *Rank) Recv(src, tag int, then func(value float64)) {
 	r.recvArmed = true
 	r.recvKey = key
 	r.recvThen = then
-	if r.job.cfg.WaitMode == WaitPoll {
-		r.thread.SpinWait(r.recvWait)
-	} else {
-		r.thread.Block(r.recvWait)
-	}
+	r.thread.SpinWait(r.recvWait)
 }
 
 // deliver runs at message arrival (interrupt context): hand the payload to
-// a matching blocked receive, or queue it as an early arrival.
+// a matching spinning receive, or queue it as an early arrival.
 func (r *Rank) deliver(key msgKey, msg message) {
 	if r.recvArmed && r.recvKey == key {
 		r.recvArmed = false
 		r.recvGot = msg
-		if r.job.cfg.WaitMode == WaitPoll {
-			r.thread.Signal()
-		} else {
-			r.thread.Wakeup()
-		}
+		r.thread.Signal()
 		return
 	}
 	r.pending = append(r.pending, arrival{key: key, msg: msg})

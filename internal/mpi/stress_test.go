@@ -79,22 +79,15 @@ func TestMixedCollectivesPipeline(t *testing.T) {
 				ok = false
 			}
 			r.Barrier(func() {
-				r.Allgather(float64(r.ID()), func(vs []float64) {
-					for i, v := range vs {
-						if v != float64(i) {
-							ok = false
-						}
+				r.RingExchange(float64(r.ID()), 8, func(l, rt float64) {
+					if l != float64((r.ID()+n-1)%n) || rt != float64((r.ID()+1)%n) {
+						ok = false
 					}
-					r.RingExchange(float64(r.ID()), 8, func(l, rt float64) {
-						if l != float64((r.ID()+n-1)%n) || rt != float64((r.ID()+1)%n) {
+					r.Allreduce(2, func(s2 float64) {
+						if s2 != 2*n {
 							ok = false
 						}
-						r.Allreduce(2, func(s2 float64) {
-							if s2 != 2*n {
-								ok = false
-							}
-							r.Done()
-						})
+						r.Done()
 					})
 				})
 			})
@@ -106,60 +99,23 @@ func TestMixedCollectivesPipeline(t *testing.T) {
 	}
 }
 
-// TestBlockWaitModeMatchesPollResults verifies both wait modes compute the
-// same sums (timing differs; values must not).
-func TestBlockWaitModeMatchesPollResults(t *testing.T) {
-	run := func(mode WaitMode) []float64 {
-		cfg := quietConfig()
-		cfg.WaitMode = mode
-		eng, job := testCluster(t, 3, 10, 4, cfg)
-		out := make([]float64, 10)
-		job.Launch(func(r *Rank) {
-			r.Allreduce(float64(r.ID()*r.ID()), func(s float64) {
-				out[r.ID()] = s
-				r.Done()
-			})
-		})
-		runToCompletion(t, eng, job)
-		return out
-	}
-	poll := run(WaitPoll)
-	block := run(WaitBlock)
-	for i := range poll {
-		if poll[i] != block[i] {
-			t.Fatalf("wait modes disagree at rank %d: %v vs %v", i, poll[i], block[i])
-		}
-	}
-}
-
-// TestPollModeHoldsCPUWhileWaiting pins the defining behavioural difference:
-// a poll-mode rank burns CPU while waiting for a late partner, a block-mode
-// rank does not.
+// TestPollModeHoldsCPUWhileWaiting pins the defining behaviour of IBM MPI's
+// poll mode: a rank waiting for a late partner burns its CPU the whole time.
 func TestPollModeHoldsCPUWhileWaiting(t *testing.T) {
-	run := func(mode WaitMode) sim.Time {
-		cfg := quietConfig()
-		cfg.WaitMode = mode
-		eng, job := testCluster(t, 3, 2, 2, cfg)
-		job.Launch(func(r *Rank) {
-			if r.ID() == 1 {
-				// Late partner: compute 50ms before participating.
-				r.Compute(50*sim.Millisecond, func() {
-					r.Allreduce(1, func(float64) { r.Done() })
-				})
-				return
-			}
-			r.Allreduce(1, func(float64) { r.Done() })
-		})
-		runToCompletion(t, eng, job)
-		return job.Ranks()[0].Thread().Stats().CPUTime
-	}
-	pollCPU := run(WaitPoll)
-	blockCPU := run(WaitBlock)
-	if pollCPU < 45*sim.Millisecond {
-		t.Fatalf("poll-mode rank burned only %v while waiting, want ~50ms", pollCPU)
-	}
-	if blockCPU > 5*sim.Millisecond {
-		t.Fatalf("block-mode rank burned %v while waiting, want ~0", blockCPU)
+	eng, job := testCluster(t, 3, 2, 2, quietConfig())
+	job.Launch(func(r *Rank) {
+		if r.ID() == 1 {
+			// Late partner: compute 50ms before participating.
+			r.Compute(50*sim.Millisecond, func() {
+				r.Allreduce(1, func(float64) { r.Done() })
+			})
+			return
+		}
+		r.Allreduce(1, func(float64) { r.Done() })
+	})
+	runToCompletion(t, eng, job)
+	if cpu := job.Ranks()[0].Thread().Stats().CPUTime; cpu < 45*sim.Millisecond {
+		t.Fatalf("poll-mode rank burned only %v while waiting, want ~50ms", cpu)
 	}
 }
 

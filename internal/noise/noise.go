@@ -73,14 +73,6 @@ type Config struct {
 	Daemons    []DaemonSpec
 	Cron       CronSpec // zero Period disables cron
 	Interrupts []InterruptSpec
-
-	// GapBatch, when > 1, pre-draws interrupt inter-arrival gaps (and the
-	// target-CPU picks) in batches of this size. Every interrupt source
-	// owns a counter-based stream keyed by (node, source index), and a
-	// batch refill consumes it in exactly the per-arrival order, so
-	// batched and unbatched runs sample bit-identical sequences — the
-	// batch is purely an amortization of draw overhead.
-	GapBatch int
 }
 
 // StandardDaemons is the AIX-flavored daemon set (see DESIGN.md §4).
@@ -178,7 +170,7 @@ func Attach(n *kernel.Node, cfg Config) (*Set, error) {
 		if irq.MeanGap <= 0 {
 			return nil, fmt.Errorf("noise: interrupt %s: non-positive mean gap", irq.Name)
 		}
-		s.launchInterrupts(irq, i, cfg.GapBatch)
+		s.launchInterrupts(irq, i)
 	}
 	return s, nil
 }
@@ -277,75 +269,26 @@ func (s *Set) launchCron(spec CronSpec) {
 	th.Start(func() { th.Sleep(phase, cycle) })
 }
 
-// irqSource drives one adapter interrupt stream as a single recurring
-// engine event re-armed in place. Every arrival draws its gap and then its
-// target CPU from the source's own counter stream; a batch refill consumes
-// the stream in that same interleaved order, so batched and unbatched
-// execution sample identical sequences (see Config.GapBatch).
-type irqSource struct {
-	set   *Set
-	spec  InterruptSpec
-	batch int
-	rng   sim.CounterRand
-	gaps  []sim.Time
-	cpus  []int
-	idx   int
-}
-
-func (q *irqSource) refill() {
-	q.gaps = q.gaps[:0]
-	q.cpus = q.cpus[:0]
-	ncpu := q.set.node.NumCPUs()
-	for i := 0; i < q.batch; i++ {
-		// Interleaved gap,cpu draws per arrival — the unbatched order.
-		q.gaps = append(q.gaps, q.rng.Exp(q.spec.MeanGap))
-		q.cpus = append(q.cpus, q.rng.Intn(ncpu))
-	}
-	q.idx = 0
-}
-
-// nextGap returns the next inter-arrival gap, guarded away from zero so the
-// event horizon always advances.
-func (q *irqSource) nextGap() sim.Time {
-	var gap sim.Time
-	if q.batch > 1 {
-		if q.idx >= len(q.gaps) {
-			q.refill()
-		}
-		gap = q.gaps[q.idx]
-	} else {
-		gap = q.rng.Exp(q.spec.MeanGap)
-	}
-	if gap <= 0 {
-		gap = sim.Microsecond
-	}
-	return gap
-}
-
-// nextCPU returns the arrival's target CPU, paired with the gap drawn for
-// the same arrival in batch mode.
-func (q *irqSource) nextCPU() int {
-	if q.batch > 1 {
-		cpu := q.cpus[q.idx]
-		q.idx++
-		return cpu
-	}
-	return q.rng.Intn(q.set.node.NumCPUs())
-}
-
-func (s *Set) launchInterrupts(spec InterruptSpec, idx, batch int) {
+// launchInterrupts drives one adapter interrupt stream as a single
+// recurring engine event re-armed in place. Each arrival draws its gap, then
+// its target CPU, from the source's own counter stream keyed by (node,
+// source index).
+func (s *Set) launchInterrupts(spec InterruptSpec, idx int) {
 	eng := s.node.Engine()
-	src := &irqSource{set: s, spec: spec, batch: batch,
-		rng: eng.CounterRand("noise-irq", uint64(s.node.ID()), uint64(idx))}
-	if batch > 1 {
-		src.refill()
+	rng := eng.CounterRand("noise-irq", uint64(s.node.ID()), uint64(idx))
+	// nextGap keeps the gap away from zero so the event horizon advances.
+	nextGap := func() sim.Time {
+		if gap := rng.Exp(spec.MeanGap); gap > 0 {
+			return gap
+		}
+		return sim.Microsecond
 	}
-	eng.Recur(eng.Now()+src.nextGap(), spec.Name, func() sim.Time {
+	eng.Recur(eng.Now()+nextGap(), spec.Name, func() sim.Time {
 		if s.stopped {
 			return sim.RecurStop
 		}
-		s.node.InjectInterrupt(src.nextCPU(), spec.HandlerCost)
-		return eng.Now() + src.nextGap()
+		s.node.InjectInterrupt(rng.Intn(s.node.NumCPUs()), spec.HandlerCost)
+		return eng.Now() + nextGap()
 	})
 }
 

@@ -184,30 +184,6 @@ func TestDaemonPlacementGlobalUnderPrototype(t *testing.T) {
 	}
 }
 
-// Batched gap pre-draws consume each source's counter stream in the same
-// interleaved order as per-arrival draws, so GapBatch must not change any
-// sampled value: the whole node's noise evolution is bit-identical.
-func TestGapBatchBitIdentical(t *testing.T) {
-	run := func(batch int) (sim.Time, sim.Time) {
-		eng, n := quietNode(t, 17, 8)
-		for i := 0; i < 8; i++ {
-			th := n.NewThread("rank", kernel.PrioUserNormal, i)
-			th.Start(func() { th.Run(sim.Hour, th.Exit) })
-		}
-		cfg := StandardConfig()
-		cfg.GapBatch = batch
-		s := MustAttach(n, cfg)
-		eng.Run(30 * sim.Second)
-		return s.DaemonCPUTime(), n.Stats().ExtSteal
-	}
-	d0, i0 := run(0)
-	for _, batch := range []int{2, 16, 64} {
-		if d, i := run(batch); d != d0 || i != i0 {
-			t.Fatalf("GapBatch=%d diverged: daemons %v vs %v, steal %v vs %v", batch, d, d0, i, i0)
-		}
-	}
-}
-
 // Each noise source's draws are a pure function of (seed, node, source
 // index): a detached counter stream replays the daemon's phase and first
 // burst exactly, and the prediction matches what the live node consumed.

@@ -489,10 +489,6 @@ func (e *Engine) Stopped() bool {
 	return e.stopped
 }
 
-// ShardID returns this engine's shard index within its ShardGroup (0 for a
-// standalone engine).
-func (e *Engine) ShardID() int { return e.shard }
-
 // Group returns the coordinating ShardGroup, or nil for a standalone engine.
 func (e *Engine) Group() *ShardGroup { return e.group }
 

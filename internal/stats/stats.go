@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics, percentiles, histograms, and ordinary
-// least-squares linear fits (the paper fits lines to Allreduce latency vs
-// processor count in Figure 6).
+// harness needs: summary statistics, percentiles, sorted copies, speedups
+// and ordinary least-squares linear fits (the paper fits lines to Allreduce
+// latency vs processor count in Figure 6).
 package stats
 
 import (
@@ -66,22 +66,6 @@ func Percentile(xs []float64, p float64) float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return percentileSorted(sorted, p)
-}
-
-// PercentilesSorted returns several percentiles at once from a single sort.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if len(sorted) == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = percentileSorted(sorted, math.Max(0, math.Min(100, p)))
-	}
-	return out
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {
@@ -153,38 +137,6 @@ func Speedup(base, improved float64) float64 {
 	return (base/improved - 1) * 100
 }
 
-// Histogram counts xs into nbins equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Width    float64
-}
-
-// NewHistogram builds a histogram with nbins bins spanning the data range.
-// Values exactly at Max land in the last bin.
-func NewHistogram(xs []float64, nbins int) Histogram {
-	if nbins <= 0 || len(xs) == 0 {
-		return Histogram{}
-	}
-	s := Summarize(xs)
-	h := Histogram{Min: s.Min, Max: s.Max, Counts: make([]int, nbins)}
-	span := s.Max - s.Min
-	if span == 0 {
-		h.Counts[0] = len(xs)
-		h.Width = 0
-		return h
-	}
-	h.Width = span / float64(nbins)
-	for _, x := range xs {
-		i := int((x - s.Min) / span * float64(nbins))
-		if i >= nbins {
-			i = nbins - 1
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
 // SortedCopy returns an ascending copy of xs (Figure 4 plots sorted
 // Allreduce times).
 func SortedCopy(xs []float64) []float64 {
@@ -192,21 +144,4 @@ func SortedCopy(xs []float64) []float64 {
 	copy(out, xs)
 	sort.Float64s(out)
 	return out
-}
-
-// FractionAbove returns the fraction of total sum contributed by values
-// strictly above the threshold — used to express "the slowest Allreduce
-// accounts for more than half the total time".
-func FractionAbove(xs []float64, threshold float64) float64 {
-	var total, above float64
-	for _, x := range xs {
-		total += x
-		if x > threshold {
-			above += x
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return above / total
 }

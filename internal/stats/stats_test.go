@@ -53,19 +53,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	got := Percentiles([]float64{10, 20, 30, 40}, 0, 50, 100)
-	want := []float64{10, 25, 40}
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-12) {
-			t.Fatalf("Percentiles = %v, want %v", got, want)
-		}
-	}
-	if !math.IsNaN(Percentiles(nil, 50)[0]) {
-		t.Fatal("empty Percentiles must be NaN")
-	}
-}
-
 func TestPercentileBoundsProperty(t *testing.T) {
 	f := func(raw []float64, pRaw uint8) bool {
 		if len(raw) == 0 {
@@ -186,26 +173,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 11 {
-		t.Fatalf("histogram total = %d, want 11", total)
-	}
-	if h.Counts[4] != 3 { // 8, 9, 10 (max lands in last bin)
-		t.Fatalf("last bin = %d, want 3 (counts %v)", h.Counts[4], h.Counts)
-	}
-	if h2 := NewHistogram([]float64{5, 5, 5}, 3); h2.Counts[0] != 3 {
-		t.Fatalf("constant histogram = %v", h2.Counts)
-	}
-	if h3 := NewHistogram(nil, 3); h3.Counts != nil {
-		t.Fatal("empty histogram must be zero value")
-	}
-}
-
 func TestSortedCopy(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	got := SortedCopy(xs)
@@ -214,15 +181,5 @@ func TestSortedCopy(t *testing.T) {
 	}
 	if xs[0] != 3 {
 		t.Fatal("SortedCopy mutated input")
-	}
-}
-
-func TestFractionAbove(t *testing.T) {
-	xs := []float64{1, 1, 1, 1, 6} // total 10, above 5 => 6/10
-	if got := FractionAbove(xs, 5); !almostEq(got, 0.6, 1e-12) {
-		t.Fatalf("FractionAbove = %v, want 0.6", got)
-	}
-	if FractionAbove(nil, 1) != 0 {
-		t.Fatal("empty FractionAbove must be 0")
 	}
 }
