@@ -74,7 +74,8 @@ fault-smoke:
 	GOMAXPROCS=2 $(GO) run ./cmd/parsim run abl-fault -nodes 4 -calls 24 -seeds 1 -procs 2 -shard-procs 2
 
 # fuzz runs every native fuzz target for 10s each: the /etc/poe.priority
-# parser, the sweep checkpoint reader and parsim's interleaved flag parser.
+# parser, the sweep checkpoint reader, parsim's interleaved flag parser and
+# the timer wheel against the reference heap on decoded operation sequences.
 # Their seed corpora also run under plain `go test`; a crasher the fuzzer
 # finds is saved under the package's testdata/fuzz and then runs there too.
 # Minimizing each new input is capped at 200 runs: uncapped, shrinking one
@@ -84,6 +85,7 @@ fuzz:
 	$(FUZZ) -fuzz '^FuzzParseAdminFile$$' ./internal/cosched/
 	$(FUZZ) -fuzz '^FuzzOpenCheckpoint$$' ./internal/experiment/
 	$(FUZZ) -fuzz '^FuzzParseInterleaved$$' ./cmd/parsim/
+	$(FUZZ) -fuzz '^FuzzWheelMatchesHeap$$' ./internal/sim/
 
 # profile runs a representative sweep under the CPU and allocation profilers
 # and prints the top CPU consumers. Inspect interactively with

@@ -173,9 +173,10 @@ func BenchmarkBaselineFairShare(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineThroughput measures raw simulator speed: events/second on
-// the 944-processor vanilla configuration (the paper's largest testbed
-// slice), so regressions in the core loop are visible. Fired events are
+// BenchmarkEngineThroughput measures raw simulator speed: events/second of
+// 128 Allreduce calls on an 8-node x 16-CPU (128-processor) vanilla cluster
+// on the default timer-wheel core, cmd/enginebench's cluster-8 workload, so
+// regressions in the core loop are visible. Fired events are
 // accumulated across all iterations and divided by the total elapsed time
 // once after the loop — dividing a single iteration's count by an average
 // iteration time would misreport whenever iterations vary.

@@ -60,6 +60,17 @@ func (a entry) before(b entry) bool {
 	return a.seq < b.seq
 }
 
+// compare is before as a three-way comparison, for slices.SortFunc.
+func (a entry) compare(b entry) int {
+	if a.before(b) {
+		return -1
+	}
+	if b.before(a) {
+		return 1
+	}
+	return 0
+}
+
 // live reports whether the entry still represents its event's current lease.
 func (en entry) live() bool {
 	return en.ev.pending && en.gen == en.ev.gen
@@ -133,8 +144,8 @@ type Core int
 
 const (
 	// CoreWheel is the hierarchical timer wheel (the default): O(1)
-	// schedule, cancel and reschedule, with a small per-slot heap that
-	// preserves exact (when, seq) firing order.
+	// schedule, cancel and reschedule, with each near slot sorted once when
+	// the clock reaches it, which preserves exact (when, seq) firing order.
 	CoreWheel Core = iota
 	// CoreHeap is the single 4-ary heap the simulator originally shipped
 	// with. It is kept as the reference implementation: differential tests

@@ -1,20 +1,43 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Hierarchical timer wheel. Two 256-slot wheels cover the near future —
 // 4.096us slots out to ~1.05ms, then 1.049ms slots out to ~268ms — and a
 // 4-ary heap holds the far overflow (multi-minute cron jobs, hour-scale
-// timeouts). A small "imminent" heap fronts the wheels: whenever the wheel
-// frontier advances over a slot, that slot's entries are tipped into the
-// imminent heap, which restores exact (when, seq) order among events that
-// share a slot. Scheduling, lazy cancellation and rescheduling are O(1);
-// the only ordering work ever done is a push+pop on the imminent heap,
-// whose size is bounded by the events of a single 4.096us slot.
+// timeouts). Scheduling, lazy cancellation and rescheduling are O(1): an
+// entry is appended to an unordered slot list.
+//
+// Ordering is done once per near slot, not once per event. When the
+// frontier advances over a near slot, the slot's live entries are copied
+// into the "run" and sorted by (when, seq); popping is then a cursor step.
+// A slot is not sparse: every rank of an Allreduce round acts at the same
+// instant, so a drained slot holds tens of live entries (README,
+// Performance, gives the counts). The sort is a stable counting pass by
+// 64ns sub-slot (skipped when the sub-slots already arrive in order), then
+// an insertion pass that fixes what is left: entries that cascaded in from
+// the far wheel behind newer direct inserts for the same instant, or
+// several instants sharing a sub-slot. On that traffic the insertion pass
+// moves fewer entries than it visits; a move budget caps it, past which it
+// falls back to a full sort. Each stage pays for itself: dropping the
+// counting pass, the insertion pass or both ran enginebench's jittered
+// Allreduce scenario (jitter-8) 15-30% slower.
+//
+// An entry scheduled below the frontier (a handler scheduling at or just
+// after now) is appended to the run when it sorts after the run's last
+// entry; it carries the newest seq, so that holds whenever it is due no
+// earlier. Otherwise it goes to a small "late" heap, and the earliest
+// pending entry is the smaller of the run's head and the late heap's top.
+// The late heap keeps such an insert O(log n) even when the frontier has
+// leapt far ahead of the clock, as a peek at an idle shard's queue does.
 //
 // Invariants:
 //   - frontier is a multiple of the near slot width; every pending entry
-//     with when < frontier is in the imminent heap.
+//     with when < frontier is in run[next:] or in late, and run[next:] is
+//     sorted by (when, seq).
 //   - entries with slot(when) in [frontier's slot, +256) are in near;
 //     entries with farSlot(when) in [frontier's far slot, +256) are in far;
 //     everything later is in overflow.
@@ -28,6 +51,14 @@ const (
 	farShift   = nearShift + wheelBits // 2^20 ns = 1.049ms per far slot
 
 	nearSlotWidth = Time(1) << nearShift
+
+	// sortRun's counting pass splits a near slot into 64 sub-slots of 64ns.
+	subShift = nearShift - 6
+	subSlots = 1 << (nearShift - subShift)
+
+	// runMoveBudget bounds sortRun's insertion pass at this many moves per
+	// entry before it falls back to a full sort.
+	runMoveBudget = 8
 
 	// slotChunkEntries sizes a slot chunk so the whole struct (16-byte
 	// header + entries) fits Go's 2048-byte allocation class exactly.
@@ -56,8 +87,11 @@ type slotList struct {
 }
 
 type wheel struct {
-	frontier  Time // slot-aligned; imminent holds everything below it
-	imminent  entryHeap
+	frontier  Time    // slot-aligned; run[next:] and late hold everything below it
+	run       []entry // entries below the frontier in (when, seq) order; run[:next] are consumed
+	next      int
+	late      entryHeap // entries below the frontier that sort before the run's last entry
+	scratch   []entry   // sortRun's counting-pass output, swapped with run
 	near      [wheelSlots]slotList
 	far       [wheelSlots]slotList
 	nearBits  [wheelSlots / 64]uint64
@@ -96,7 +130,11 @@ func (w *wheel) slotPush(sl *slotList, en entry) {
 func (w *wheel) insert(en entry) {
 	t := en.when
 	if t < w.frontier {
-		w.imminent.push(en)
+		if n := len(w.run); n == w.next || w.run[n-1].before(en) {
+			w.run = append(w.run, en)
+		} else {
+			w.late.push(en)
+		}
 		return
 	}
 	slot := t >> nearShift
@@ -142,15 +180,64 @@ func (w *wheel) drainSlot(sl *slotList, fire func(entry)) int {
 	return drained
 }
 
-// drainNear tips near slot index i into the imminent heap, dropping stale
-// entries.
+// drainNear moves near slot index i's live entries into the empty run and
+// sorts it, dropping stale entries.
 func (w *wheel) drainNear(i int) {
 	w.nearBits[i>>6] &^= 1 << (uint(i) & 63)
 	w.nearCount -= w.drainSlot(&w.near[i], func(en entry) {
 		if en.live() {
-			w.imminent.push(en)
+			w.run = append(w.run, en)
 		}
 	})
+	w.sortRun()
+}
+
+// sortRun orders the run, one near slot's entries in the order they entered
+// the slot, by (when, seq).
+func (w *wheel) sortRun() {
+	run := w.run
+	if len(run) < 2 {
+		return
+	}
+	// Stable counting pass by sub-slot, skipped when the sub-slots already
+	// arrive in order. Afterwards only entries sharing a sub-slot can be out
+	// of order.
+	var start [subSlots + 1]int32
+	inOrder, prev := true, Time(0)
+	for _, en := range run {
+		s := en.when >> subShift & (subSlots - 1)
+		start[s+1]++
+		inOrder = inOrder && s >= prev
+		prev = s
+	}
+	if !inOrder {
+		for s := 1; s < subSlots; s++ {
+			start[s] += start[s-1]
+		}
+		out := slices.Grow(w.scratch[:0], len(run))[:len(run)]
+		for _, en := range run {
+			s := en.when >> subShift & (subSlots - 1)
+			out[start[s]] = en
+			start[s]++
+		}
+		clear(run) // release the *Event references
+		w.run, w.scratch, run = out, run[:0], out
+	}
+
+	// Insertion pass over what is left, bounded by a move budget.
+	moves, budget := 0, runMoveBudget*len(run)
+	for j := 1; j < len(run); j++ {
+		en := run[j]
+		k := j
+		for ; k > 0 && en.before(run[k-1]); k-- {
+			run[k] = run[k-1]
+		}
+		run[k] = en
+		if moves += j - k; moves > budget {
+			slices.SortFunc(run, entry.compare)
+			return
+		}
+	}
 }
 
 // cascadeFar redistributes far slot index i into the near wheel (which, at
@@ -196,14 +283,17 @@ func nextBit(bm *[wheelSlots / 64]uint64, from int) int {
 	return wheelSlots
 }
 
-// advance moves the frontier forward until the imminent heap is non-empty,
-// cascading far slots and admitting overflow at window boundaries. It
-// reports false when no entries remain anywhere. Empty stretches are
-// skipped via the occupancy bitmaps, and when both wheels are empty the
-// frontier teleports straight to the overflow heap's earliest entry.
+// advance resets the consumed run and moves the frontier forward until an
+// entry lies below it, cascading far slots and admitting overflow at window
+// boundaries. It reports false when no entries remain anywhere. Empty
+// stretches are skipped via the occupancy bitmaps, and when both wheels are
+// empty the frontier teleports straight to the overflow heap's earliest
+// entry. The caller guarantees the run is consumed and the late heap empty.
 func (w *wheel) advance() bool {
+	clear(w.run) // release the *Event references
+	w.run, w.next = w.run[:0], 0
 	for {
-		if len(w.imminent) > 0 {
+		if len(w.run) > 0 || len(w.late) > 0 {
 			return true
 		}
 		if w.nearCount == 0 && w.farCount == 0 {
@@ -242,31 +332,48 @@ func (w *wheel) advance() bool {
 	}
 }
 
-// popNext removes and returns the earliest live entry.
-func (w *wheel) popNext() (entry, bool) {
+// front returns the earliest live entry without removing it, dropping the
+// stale entries it passes and advancing the frontier when nothing is left
+// below it. fromLate reports whether the entry is the late heap's top
+// rather than the run's head; ok is false when the wheel is empty.
+func (w *wheel) front() (en entry, fromLate, ok bool) {
 	for {
-		for len(w.imminent) > 0 {
-			if en := w.imminent.pop(); en.live() {
-				return en, true
+		if w.next < len(w.run) {
+			en = w.run[w.next]
+			if len(w.late) == 0 || en.before(w.late[0]) {
+				if en.live() {
+					return en, false, true
+				}
+				w.next++
+				continue
 			}
 		}
+		if len(w.late) > 0 {
+			if en = w.late[0]; en.live() {
+				return en, true, true
+			}
+			w.late.pop()
+			continue
+		}
 		if !w.advance() {
-			return entry{}, false
+			return entry{}, false, false
 		}
 	}
 }
 
+// popNext removes and returns the earliest live entry.
+func (w *wheel) popNext() (entry, bool) {
+	en, fromLate, ok := w.front()
+	if fromLate {
+		w.late.pop()
+	} else if ok {
+		w.next++
+	}
+	return en, ok
+}
+
 // peekNext reports the earliest live entry's time without removing it.
 func (w *wheel) peekNext() (Time, bool) {
-	for {
-		for len(w.imminent) > 0 {
-			if w.imminent[0].live() {
-				return w.imminent[0].when, true
-			}
-			w.imminent.pop()
-		}
-		if !w.advance() {
-			return 0, false
-		}
-	}
+	en, _, ok := w.front()
+	return en.when, ok
 }

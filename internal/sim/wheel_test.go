@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -72,22 +74,233 @@ func TestWheelMatchesHeapRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		for _, maxDelta := range []int{50, 5000, 20_000_000} {
 			wheelLog, heapLog := mirroredEngines(t, seed, 400, maxDelta)
-			if len(wheelLog) != len(heapLog) {
-				t.Fatalf("seed %d delta %d: wheel fired %d events, heap fired %d",
-					seed, maxDelta, len(wheelLog), len(heapLog))
-			}
-			for i := range wheelLog {
-				if wheelLog[i] != heapLog[i] {
-					t.Fatalf("seed %d delta %d: firing %d differs: wheel %+v heap %+v",
-						seed, maxDelta, i, wheelLog[i], heapLog[i])
-				}
-			}
+			sameFirings(t, fmt.Sprintf("seed %d delta %d", seed, maxDelta), wheelLog, heapLog)
 		}
 	}
 }
 
+// queueDriver schedules numbered events on one engine, records the order
+// they fire in, and lets a test cancel or reschedule a pending one. Run on a
+// wheel-core and a heap-core engine with the same inputs, two drivers must
+// produce the same log.
+type queueDriver struct {
+	e       *Engine
+	log     []firing
+	evs     []*Event // by id; nil once fired or canceled
+	pending []int    // ids that may still be pending
+	onFire  func()   // runs after each firing is logged, if set
+}
+
+func (d *queueDriver) schedule(t Time) {
+	id := len(d.evs)
+	label := strconv.Itoa(id)
+	d.evs = append(d.evs, d.e.At(t, label, func() {
+		d.log = append(d.log, firing{d.e.Now(), label})
+		d.evs[id] = nil
+		if d.onFire != nil {
+			d.onFire()
+		}
+	}))
+	d.pending = append(d.pending, id)
+}
+
+// pick returns the id of a pending event chosen by r, or -1 if none is.
+func (d *queueDriver) pick(r int) int {
+	for n := len(d.pending); n > 0; n = len(d.pending) {
+		j := r % n
+		if id := d.pending[j]; d.evs[id] != nil {
+			return id
+		}
+		d.pending[j] = d.pending[n-1]
+		d.pending = d.pending[:n-1]
+	}
+	return -1
+}
+
+func (d *queueDriver) cancel(r int) {
+	if id := d.pick(r); id >= 0 {
+		d.e.Cancel(d.evs[id])
+		d.evs[id] = nil
+	}
+}
+
+func (d *queueDriver) reschedule(r int, t Time) {
+	if id := d.pick(r); id >= 0 {
+		d.e.Reschedule(d.evs[id], t)
+	}
+}
+
+// sameFirings fails t at the first firing where the wheel's log departs
+// from the heap's.
+func sameFirings(t *testing.T, what string, wheelLog, heapLog []firing) {
+	t.Helper()
+	for i := range wheelLog {
+		if i >= len(heapLog) || wheelLog[i] != heapLog[i] {
+			var h firing
+			if i < len(heapLog) {
+				h = heapLog[i]
+			}
+			t.Fatalf("%s: firing %d differs: wheel %+v heap %+v", what, i, wheelLog[i], h)
+		}
+	}
+	if len(wheelLog) != len(heapLog) {
+		t.Fatalf("%s: wheel fired %d events, heap fired %d", what, len(wheelLog), len(heapLog))
+	}
+}
+
+// burstLog drives one engine through the traffic an Allreduce round gives
+// the queue and returns its fire log. Four instants of one near slot each
+// get a 256-event burst: half scheduled at time zero into the far wheel,
+// half scheduled later by a spacer directly into the near wheel, so the
+// older far entries cascade into the slot behind newer ones for the same
+// instant. Two of the instants share a 64ns sub-slot. Each firing may
+// schedule at, between and past those instants (below the frontier: before,
+// at and after the sorted run's last entry), cancel or reschedule a pending
+// event, or peek. Then the engine idles, a peek moves its frontier 5ms
+// ahead of its clock, and a second round of bursts is scheduled beneath it.
+func burstLog(core Core, seed int64) []firing {
+	const burst = 256
+	slot := Time(3*wheelSlots+5) * nearSlotWidth // in the fourth near window
+	instants := []Time{slot + 8, slot + 40, slot + 72, slot + 3000}
+	deltas := []Time{0, 1, 32, 64, 2992, 3500, 5000, 40_000}
+
+	rng := rand.New(rand.NewSource(seed))
+	d := &queueDriver{e: NewEngineWithCore(1, core)}
+	e := d.e
+	limit := 6000
+	d.onFire = func() {
+		if len(d.evs) >= limit {
+			return
+		}
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3:
+			d.schedule(e.Now() + deltas[rng.Intn(len(deltas))])
+		case 4:
+			d.cancel(rng.Int())
+		case 5:
+			d.reschedule(rng.Int(), e.Now()+deltas[rng.Intn(len(deltas))])
+		case 6:
+			e.peekNext()
+		}
+	}
+	for _, at := range instants {
+		for i := 0; i < burst/2; i++ {
+			d.schedule(at)
+		}
+	}
+	e.At(slot-200*nearSlotWidth, "spacer", func() {
+		for _, at := range instants {
+			for i := 0; i < burst/2; i++ {
+				d.schedule(at)
+			}
+		}
+	})
+	e.RunUntilIdle()
+
+	now := e.Now()
+	lone := now + 5*Millisecond
+	d.schedule(lone)
+	e.Run(now) // fires nothing; the peek drains lone's slot
+	limit = len(d.evs) + 6000
+	for _, at := range []Time{now + 10, now + 3000, lone, lone + 100} {
+		for i := 0; i < burst; i++ {
+			d.schedule(at)
+		}
+	}
+	e.RunUntilIdle()
+	return d.log
+}
+
+// TestWheelMatchesHeapBursts is the differential test for dense slots:
+// same-instant bursts, far-wheel cascades behind newer inserts, entries
+// scheduled below the frontier, and a frontier far ahead of the clock.
+func TestWheelMatchesHeapBursts(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		wheelLog, heapLog := burstLog(CoreWheel, seed), burstLog(CoreHeap, seed)
+		sameFirings(t, fmt.Sprintf("seed %d", seed), wheelLog, heapLog)
+	}
+}
+
+// fuzzDelta maps an operation's class bits and argument to a delay: the
+// same instant, within a 64ns sub-slot, within a near slot, the near wheel,
+// the far wheel, or the overflow heap.
+func fuzzDelta(class, arg byte) Time {
+	v := Time(arg)
+	switch class % 6 {
+	case 0:
+		return 0
+	case 1:
+		return v % 64
+	case 2:
+		return v * 16
+	case 3:
+		return v*nearSlotWidth + v
+	case 4:
+		return v<<farShift + 7*v
+	default:
+		return wheelSlots<<farShift + v<<24
+	}
+}
+
+// fuzzLog decodes ops, two bytes per operation, and applies them to one
+// engine: schedule one event, schedule a same-instant burst, cancel,
+// reschedule, peek, step, or run up to a time. It returns the fire log,
+// draining the engine at the end.
+func fuzzLog(core Core, ops []byte) []firing {
+	d := &queueDriver{e: NewEngineWithCore(1, core)}
+	e := d.e
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i], ops[i+1]
+		delta := fuzzDelta(op>>3, arg)
+		switch op & 7 {
+		case 0, 1:
+			d.schedule(e.Now() + delta)
+		case 2:
+			for k := 0; k < int(arg%32)+2; k++ {
+				d.schedule(e.Now() + fuzzDelta(op>>3, arg/32))
+			}
+		case 3:
+			d.cancel(int(arg))
+		case 4:
+			d.reschedule(int(arg), e.Now()+delta)
+		case 5:
+			e.peekNext()
+		case 6:
+			e.Step()
+		case 7:
+			e.Run(e.Now() + delta)
+		}
+	}
+	e.RunUntilIdle()
+	return d.log
+}
+
+// FuzzWheelMatchesHeap: any operation sequence fires identically on the
+// wheel and on the reference heap.
+func FuzzWheelMatchesHeap(f *testing.F) {
+	// Bursts of 32 at 48ns and 112ns; after one step, schedules before, at
+	// and after the run's last entry, a cancel and a reschedule.
+	f.Add([]byte{0x12, 0x7e, 0x12, 0xfe, 0x06, 0, 0x08, 10, 0x00, 0, 0x10, 4,
+		0x10, 7, 0x03, 5, 0x0c, 9, 0x06, 0, 0x06, 0})
+	// Five events at 2,097,166ns go to the far wheel; steps to 1,052,431ns
+	// put one newer event for the same instant directly into the near
+	// wheel, ahead of the far burst's cascade.
+	f.Add([]byte{0x22, 67, 0x20, 1, 0x06, 0, 0x10, 240, 0x06, 0, 0x08, 8,
+		0x06, 0, 0x18, 255})
+	// A peek moves the frontier ~800us ahead of the clock; bursts and a
+	// reschedule land beneath it, then overflow and a bounded run.
+	f.Add([]byte{0x18, 200, 0x05, 0, 0x0a, 0x7f, 0x12, 0xff, 0x04, 3,
+		0x28, 9, 0x06, 0, 0x17, 100})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		sameFirings(t, "ops", fuzzLog(CoreWheel, ops), fuzzLog(CoreHeap, ops))
+	})
+}
+
 // TestWheelSameTimeFIFO: same-time events fire in schedule order across all
-// wheel levels (entries reach the imminent heap via different paths — direct
+// wheel levels (entries reach the sorted run via different paths — direct
 // insert, near drain, far cascade — and must still sort by seq).
 func TestWheelSameTimeFIFO(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
@@ -115,22 +328,22 @@ func TestWheelSameTimeFIFO(t *testing.T) {
 	}
 }
 
-// TestWheelLevelPlacement exercises each queue level explicitly: imminent
-// (past-frontier), near slot, far slot, overflow, and the near-Forever
-// horizon math that must not overflow int64.
+// TestWheelLevelPlacement exercises each queue level explicitly: below the
+// frontier, near slot, far slot, overflow, and the near-Forever horizon math
+// that must not overflow int64.
 func TestWheelLevelPlacement(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
 	var order []string
 	add := func(d Time, label string) {
 		e.After(d, label, func() { order = append(order, label) })
 	}
-	add(100, "imminent")                                   // sub-slot
+	add(100, "sub-slot")                                   // sub-slot
 	add(20*nearSlotWidth, "near")                          // inside the near window
 	add(wheelSlots*nearSlotWidth*3, "far")                 // beyond near, inside far
 	add(wheelSlots*wheelSlots*nearSlotWidth*2, "overflow") // beyond far
 	add(Forever-1, "edge")                                 // horizon arithmetic stress
 	e.RunUntilIdle()
-	want := []string{"imminent", "near", "far", "overflow", "edge"}
+	want := []string{"sub-slot", "near", "far", "overflow", "edge"}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -176,7 +389,7 @@ func TestWheelRescheduleAcrossLevels(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
 	count := 0
 	ev := e.After(Hour, "mover", func() { count++ })
-	e.Reschedule(ev, Time(40))                         // into imminent range
+	e.Reschedule(ev, Time(40))                         // below the frontier
 	e.Reschedule(ev, Time(100*nearSlotWidth))          // near
 	e.Reschedule(ev, Time(wheelSlots*nearSlotWidth*7)) // far
 	final := Time(2 * Millisecond)
