@@ -23,13 +23,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# race-sharded re-runs the sharded-engine differential tests under the race
-# detector at two scheduler widths. GOMAXPROCS changes how shard worker
-# goroutines interleave, so both widths must stay clean AND bit-identical —
-# the tests themselves compare sharded output against the serial engine.
+# race-sharded re-runs the differential gate (TestDifferential) and the
+# engine's sharded tests under the race detector at two scheduler widths.
+# GOMAXPROCS changes how shard worker goroutines interleave, so both widths
+# must stay clean AND bit-identical — the tests themselves compare sharded
+# output against the serial engine.
 race-sharded:
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Shard|BitIdentical' ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./internal/experiment/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run '^TestShard|^TestDifferential$$' ./internal/sim/ ./internal/experiment/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run '^TestShard|^TestDifferential$$' ./internal/sim/ ./internal/experiment/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -74,8 +75,9 @@ fault-smoke:
 	GOMAXPROCS=2 $(GO) run ./cmd/parsim run abl-fault -nodes 4 -calls 24 -seeds 1 -procs 2 -shard-procs 2
 
 # fuzz runs every native fuzz target for 10s each: the /etc/poe.priority
-# parser, the sweep checkpoint reader, parsim's interleaved flag parser and
-# the timer wheel against the reference heap on decoded operation sequences.
+# parser, the sweep checkpoint reader, parsim's interleaved flag parser, the
+# timer wheel against the reference heap on decoded operation sequences, and
+# the differential gate on small decoded Allreduce clusters.
 # Their seed corpora also run under plain `go test`; a crasher the fuzzer
 # finds is saved under the package's testdata/fuzz and then runs there too.
 # Minimizing each new input is capped at 200 runs: uncapped, shrinking one
@@ -86,6 +88,7 @@ fuzz:
 	$(FUZZ) -fuzz '^FuzzOpenCheckpoint$$' ./internal/experiment/
 	$(FUZZ) -fuzz '^FuzzParseInterleaved$$' ./cmd/parsim/
 	$(FUZZ) -fuzz '^FuzzWheelMatchesHeap$$' ./internal/sim/
+	$(FUZZ) -fuzz '^FuzzDifferential$$' ./internal/experiment/
 
 # profile runs a representative sweep under the CPU and allocation profilers
 # and prints the top CPU consumers. Inspect interactively with

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"coschedsim/internal/fault"
@@ -158,57 +157,6 @@ func TestFaultValidateDetectLatencyBelowLookahead(t *testing.T) {
 	cfg.Faults.DetectLatency = detect
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid fault config rejected: %v", err)
-	}
-}
-
-// TestFaultyScenarioBitIdenticalAcrossCores is the tentpole determinism pin
-// at cluster level: one scenario combining drops+retries, a partial crash
-// with re-planning, daemon stalls and a partition must produce identical
-// call times, termination time, send counts and fault reports on the heap
-// core, the wheel core, and the sharded core at 1, 2 and 4 workers.
-func TestFaultyScenarioBitIdenticalAcrossCores(t *testing.T) {
-	mk := func() Config {
-		cfg := Prototype(4, 8, 11)
-		cfg.Faults = &fault.Config{
-			Policy: fault.PolicyReplan, DetectLatency: detect,
-			CrashProb: 0.4, CrashWindow: 2 * sim.Millisecond, ReplanDrain: 500 * sim.Microsecond,
-			DropRate:       0.01,
-			PartitionStart: 200 * sim.Microsecond, PartitionDuration: 100 * sim.Microsecond,
-			PartitionFrac: 0.5,
-			StallProb:     0.5, StallWindow: sim.Millisecond,
-			RestartDelay: 100 * sim.Microsecond, CheckPeriod: 50 * sim.Microsecond,
-		}
-		cfg.MPI.SendTimeout = 100 * sim.Microsecond
-		cfg.MPI.SendRetries = 8
-		return cfg
-	}
-	type fp struct {
-		times []sim.Time
-		ok    bool
-		done  sim.Time
-		sends uint64
-		rep   FaultReport
-	}
-	run := func(core sim.Core, workers int) fp {
-		prev := sim.DefaultCore
-		sim.DefaultCore = core
-		defer func() { sim.DefaultCore = prev }()
-		cfg := mk()
-		cfg.IntraRunWorkers = workers
-		times, ok, done, sends, rep := faultTrace(t, cfg, 400)
-		return fp{times, ok, done, sends, rep}
-	}
-	ref := run(sim.CoreWheel, 0)
-	if ref.rep.Dropped == 0 || ref.rep.Stalls == 0 {
-		t.Fatalf("reference scenario too quiet to be a useful pin: %+v", ref.rep)
-	}
-	if got := run(sim.CoreHeap, 0); !reflect.DeepEqual(ref, got) {
-		t.Errorf("heap core diverges from wheel:\nwheel: %+v\nheap:  %+v", ref, got)
-	}
-	for _, w := range []int{1, 2, 4} {
-		if got := run(sim.CoreWheel, w); !reflect.DeepEqual(ref, got) {
-			t.Errorf("sharded core @ %d workers diverges from serial wheel:\nserial:  %+v\nsharded: %+v", w, ref, got)
-		}
 	}
 }
 

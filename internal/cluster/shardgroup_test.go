@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"coschedsim/internal/sim"
+)
 
 // TestAutoShardGroupHighNodeCounts validates the shard group-size
 // heuristic (nodes/(4*workers)) at the huge tier's node counts: the shard
@@ -37,7 +41,11 @@ func TestAutoShardGroupWindowStats(t *testing.T) {
 	const nodes, workers = 64, 2
 	cfg := Vanilla(nodes, 16, 7)
 	cfg.IntraRunWorkers = workers
-	_, _, _, c := allreduceTrace(t, cfg, 12)
+	c := MustBuild(cfg)
+	var times []sim.Time
+	if _, ok := c.Launch(allreduceLoop(12, &times), 10*sim.Minute); !ok {
+		t.Fatal("allreduce loop did not complete")
+	}
 	if c.Group == nil {
 		t.Fatal("expected the sharded core for a 64-node run with IntraRunWorkers=2")
 	}

@@ -15,34 +15,6 @@ import (
 	"coschedsim/internal/sim"
 )
 
-// TestFaultSweepBitIdentical is the tentpole acceptance pin at table level:
-// the abl-fault sweep — crashes, drops, retries, partitions, stalls,
-// supervisor restarts, co-scheduler replans — renders byte-identically on
-// the heap, wheel and sharded engine cores at 1, 2 and 4 workers.
-func TestFaultSweepBitIdentical(t *testing.T) {
-	wheel := renderedWithCore(t, "abl-fault", sim.CoreWheel)
-	sharded2 := renderedWithShardWorkers(t, "abl-fault", 2)
-	if !bytes.Equal(wheel, sharded2) {
-		t.Errorf("abl-fault differs between wheel and 2 shard workers\n--- wheel ---\n%s\n--- sharded ---\n%s",
-			wheel, sharded2)
-	}
-	if testing.Short() {
-		return
-	}
-	heap := renderedWithCore(t, "abl-fault", sim.CoreHeap)
-	if !bytes.Equal(wheel, heap) {
-		t.Errorf("abl-fault differs between wheel and heap cores\n--- wheel ---\n%s\n--- heap ---\n%s",
-			wheel, heap)
-	}
-	for _, w := range []int{1, 4} {
-		got := renderedWithShardWorkers(t, "abl-fault", w)
-		if !bytes.Equal(wheel, got) {
-			t.Errorf("abl-fault differs between serial and %d shard workers\n--- serial ---\n%s\n--- sharded ---\n%s",
-				w, wheel, got)
-		}
-	}
-}
-
 // TestQuarantinePanickingJob checks the sweep-survival acceptance: a run
 // that panics is quarantined into a "-" cell instead of aborting the sweep,
 // the fit is suppressed, and the rest of the table is real data.

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"reflect"
 	"sort"
 	"sync"
@@ -17,60 +16,6 @@ import (
 func detOptions() Options {
 	return Options{MaxNodes: 4, Calls: 96, Seeds: 2,
 		ComputeGrain: 200 * sim.Microsecond, BaseSeed: 1}
-}
-
-// runAt renders one experiment at the given parallelism.
-func runAt(t *testing.T, name string, parallelism int) *Table {
-	t.Helper()
-	r, ok := Lookup(name)
-	if !ok {
-		t.Fatalf("unknown experiment %s", name)
-	}
-	o := detOptions()
-	o.Parallelism = parallelism
-	tab, err := r.Run(o)
-	if err != nil {
-		t.Fatalf("%s at parallelism %d: %v", name, parallelism, err)
-	}
-	return tab
-}
-
-// TestFig3ParallelBitIdentical is the determinism regression test for the
-// work-pool harness: fig3 with Parallelism 1 and Parallelism 8 must agree
-// on every cell, tag and note — and on the rendered bytes.
-func TestFig3ParallelBitIdentical(t *testing.T) {
-	serial := runAt(t, "fig3", 1)
-	par := runAt(t, "fig3", 8)
-	if !reflect.DeepEqual(serial.Rows, par.Rows) {
-		t.Errorf("rows differ:\nserial: %v\nparallel: %v", serial.Rows, par.Rows)
-	}
-	if !reflect.DeepEqual(serial.RowTags, par.RowTags) {
-		t.Errorf("row tags differ: %v vs %v", serial.RowTags, par.RowTags)
-	}
-	if !reflect.DeepEqual(serial.Notes, par.Notes) {
-		t.Errorf("notes differ:\nserial: %v\nparallel: %v", serial.Notes, par.Notes)
-	}
-	var a, b bytes.Buffer
-	serial.Render(&a)
-	par.Render(&b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("rendered output differs:\n%s\n--- vs ---\n%s", a.String(), b.String())
-	}
-}
-
-// TestSweepRunnersParallelBitIdentical extends the guarantee to the other
-// pool-backed runner shapes: a variant sweep (ablation) and a BSP sweep.
-func TestSweepRunnersParallelBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("several sweeps at two parallelism levels")
-	}
-	for _, name := range []string{"abl-ipi", "t5", "t2"} {
-		serial := runAt(t, name, 1)
-		par := runAt(t, name, 8)
-		if !reflect.DeepEqual(serial.Rows, par.Rows) || !reflect.DeepEqual(serial.Notes, par.Notes) {
-			t.Errorf("%s: parallel result differs from serial", name)
-		}
-	}
 }
 
 // TestMeasureScalingPropagatesError checks that a failing run surfaces its

@@ -25,7 +25,8 @@ type GroupStats struct {
 	// Windows is the number of conservative time windows executed.
 	Windows uint64
 	// ParallelWindows counts windows dispatched to the worker pool (at
-	// least two shards had events; single-shard windows run inline).
+	// least two shards had events and the group has two workers; any
+	// other window runs inline).
 	ParallelWindows uint64
 	// ActiveShardWindows sums, over windows, the number of shards that had
 	// events inside the window — ActiveShardWindows/Windows is the mean
@@ -71,7 +72,9 @@ type ShardGroup struct {
 	deadlineNs  int64
 	deadlineHit bool
 
-	batch []crossEntry // merge scratch, reused across barriers
+	batch  []crossEntry // merge scratch, reused across barriers
+	next   []Time       // each shard's next event time, Forever when idle
+	active []*Engine    // shards with events inside the current window
 }
 
 // NewShardGroup builds n wheel-backed engine shards sharing seed, executed
@@ -88,7 +91,7 @@ func NewShardGroup(seed int64, n, workers int, lookahead Time) *ShardGroup {
 	if workers < 1 {
 		workers = 1
 	}
-	g := &ShardGroup{lookahead: lookahead, workers: workers}
+	g := &ShardGroup{lookahead: lookahead, workers: workers, next: make([]Time, n)}
 	g.shards = make([]*Engine, n)
 	for i := range g.shards {
 		e := NewEngineWithCore(seed, CoreWheel)
@@ -165,17 +168,22 @@ func (g *ShardGroup) pastDeadline() bool {
 // Stopped reports whether Stop was called.
 func (g *ShardGroup) Stopped() bool { return g.stopped.Load() }
 
-// nextWindow computes the next window [start, end) covering events with
-// when <= until. ok is false when no such window exists.
-func (g *ShardGroup) nextWindow(until Time) (start, end Time, ok bool) {
-	found := false
-	for _, sh := range g.shards {
-		if w, has := sh.peekNext(); has && (!found || w < start) {
-			start, found = w, true
+// nextWindow finds the next window [start, end) covering events with
+// when <= until and collects the shards holding events inside it into
+// g.active, peeking each shard once. ok is false when no such window
+// exists.
+func (g *ShardGroup) nextWindow(until Time) (end Time, ok bool) {
+	start := Forever
+	for i, sh := range g.shards {
+		w, has := sh.peekNext()
+		if !has {
+			w = Forever
 		}
+		g.next[i] = w
+		start = min(start, w)
 	}
-	if !found || start > until {
-		return 0, 0, false
+	if start == Forever || start > until {
+		return 0, false
 	}
 	limit := Forever
 	if until < Forever-1 {
@@ -185,64 +193,34 @@ func (g *ShardGroup) nextWindow(until Time) (start, end Time, ok bool) {
 	if end <= start || end > limit {
 		end = limit
 	}
-	return start, end, true
+	g.active = g.active[:0]
+	for i, w := range g.next {
+		if w < end {
+			g.active = append(g.active, g.shards[i])
+		}
+	}
+	return end, true
 }
 
 // Run executes events until every queue is empty, the group is stopped, or
 // the next event lies strictly after until. It returns the number of events
 // fired by this call. Run must only be called from one goroutine at a time.
+//
+// A window's participants are its active shards, capped by the dispatch
+// width: the configured budget, clamped to the shard count and to the
+// machine. Workers beyond GOMAXPROCS cannot run concurrently anyway — they
+// only queue behind each other and inflate barrier-stall accounting (a
+// 4-worker group on a 1-core box used to report ~3x the busy time as
+// "stall" that was pure oversubscription). A window with one participant
+// runs inline on the calling goroutine; any other goes to the pool.
 func (g *ShardGroup) Run(until Time) uint64 {
 	startFired := g.Fired()
-	active := make([]*Engine, 0, len(g.shards))
-	collect := func(end Time) []*Engine {
-		active = active[:0]
-		for _, sh := range g.shards {
-			if w, has := sh.peekNext(); has && w < end {
-				active = append(active, sh)
-			}
-		}
-		return active
-	}
+	w := min(g.workers, runtime.GOMAXPROCS(0), len(g.shards))
 
-	// Effective dispatch width: the configured budget, clamped to the shard
-	// count and to the machine. Workers beyond GOMAXPROCS cannot run
-	// concurrently anyway — they only queue behind each other and inflate
-	// barrier-stall accounting (a 4-worker group on a 1-core box used to
-	// report ~3x the busy time as "stall" that was pure oversubscription).
-	w := g.workers
-	if mp := runtime.GOMAXPROCS(0); w > mp {
-		w = mp
-	}
-	if w > len(g.shards) {
-		w = len(g.shards)
-	}
-
-	if w <= 1 || len(g.shards) == 1 {
-		// Serial windowed execution: same window/merge discipline, no
-		// goroutines. This is also the differential reference for the
-		// parallel path.
-		for !g.stopped.Load() && !g.pastDeadline() {
-			_, end, ok := g.nextWindow(until)
-			if !ok {
-				break
-			}
-			act := collect(end)
-			for _, sh := range act {
-				sh.runWindow(end)
-			}
-			g.stats.ActiveShardWindows += uint64(len(act))
-			g.mergeOutboxes()
-			g.stats.Windows++
-		}
-		return g.Fired() - startFired
-	}
-
-	// Parallel windowed execution. The coordinator participates as a
-	// worker, so only w-1 pool goroutines exist, and they park on the wake
-	// channel between windows instead of being fed per-shard jobs. Within a
-	// window, participants claim active shards through an atomic cursor —
-	// a window with fewer runnable shards than workers wakes only as many
-	// participants as there are shards, and the rest stay parked.
+	// The coordinator participates as a worker, so only w-1 pool goroutines
+	// exist, and they park on the wake channel between windows instead of
+	// being fed per-shard jobs. Within a window, participants claim active
+	// shards through an atomic cursor.
 	var (
 		act      []*Engine
 		end      Time
@@ -273,21 +251,18 @@ func (g *ShardGroup) Run(until Time) uint64 {
 	}
 	for !g.stopped.Load() && !g.pastDeadline() {
 		var ok bool
-		_, end, ok = g.nextWindow(until)
-		if !ok {
+		if end, ok = g.nextWindow(until); !ok {
 			break
 		}
-		act = collect(end)
-		if len(act) == 1 {
-			act[0].runWindow(end)
+		act = g.active
+		if participants := min(w, len(act)); participants == 1 {
+			for _, sh := range act {
+				sh.runWindow(end)
+			}
 		} else {
 			t0 := time.Now()
 			cursor.Store(0)
 			pids.Store(0)
-			participants := w
-			if participants > len(act) {
-				participants = len(act)
-			}
 			wg.Add(participants - 1)
 			for i := 1; i < participants; i++ {
 				wake <- t0
@@ -297,9 +272,7 @@ func (g *ShardGroup) Run(until Time) uint64 {
 			var maxNs, sumNs int64
 			for _, f := range finishNs[:participants] {
 				sumNs += f
-				if f > maxNs {
-					maxNs = f
-				}
+				maxNs = max(maxNs, f)
 			}
 			if stall := int64(participants)*maxNs - sumNs; stall > 0 {
 				g.stats.BarrierStallNs += stall

@@ -319,66 +319,6 @@ func TestImbalanceDrawsReplayable(t *testing.T) {
 	}
 }
 
-// TestWorkloadsShardedBitIdentical is the acceptance pin for re-baseline №1:
-// ALE3D (with GPFS I/O) and BSP — with network jitter on — run under
-// CoreSharded at 1, 2, and 4 workers and reproduce the serial engine's
-// results exactly. Before counter-based streams both workloads refused to
-// run sharded at all.
-func TestWorkloadsShardedBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("several full application runs")
-	}
-	const seed = 7
-	aleCfg := func(workers int) cluster.Config {
-		cfg := cluster.ALE3DVanilla(4, 8, seed)
-		cfg.IntraRunWorkers = workers
-		return cfg
-	}
-	bspCfg := func(workers int) cluster.Config {
-		cfg := cluster.Vanilla(4, 8, seed)
-		cfg.Network.Jitter = 2 * sim.Microsecond
-		cfg.IntraRunWorkers = workers
-		return cfg
-	}
-	spec := fastALE3D()
-	spec.Timesteps = 12
-	bsp := BSPSpec{Steps: 25, ComputeMean: 2 * sim.Millisecond,
-		ComputeJitter: 500 * sim.Microsecond, AllreducesPerStep: 2}
-
-	runALE := func(workers int) ALE3DResult {
-		c := cluster.MustBuild(aleCfg(workers))
-		if workers > 1 && c.Group == nil {
-			t.Fatalf("ALE3D workers=%d: built serial", workers)
-		}
-		res, err := RunALE3D(c, spec, 10*sim.Minute)
-		if err != nil || !res.Completed {
-			t.Fatalf("ALE3D workers=%d failed: %v", workers, err)
-		}
-		return res
-	}
-	runBSP := func(workers int) BSPResult {
-		c := cluster.MustBuild(bspCfg(workers))
-		if workers > 1 && c.Group == nil {
-			t.Fatalf("BSP workers=%d: built serial", workers)
-		}
-		res, err := RunBSP(c, bsp, 10*sim.Minute)
-		if err != nil || !res.Completed {
-			t.Fatalf("BSP workers=%d failed: %v", workers, err)
-		}
-		return res
-	}
-	aleRef := runALE(0)
-	bspRef := runBSP(0)
-	for _, workers := range []int{1, 2, 4} {
-		if got := runALE(workers); got != aleRef {
-			t.Errorf("ALE3D workers=%d diverged:\n got %+v\nwant %+v", workers, got, aleRef)
-		}
-		if got := runBSP(workers); got != bspRef {
-			t.Errorf("BSP workers=%d diverged:\n got %+v\nwant %+v", workers, got, bspRef)
-		}
-	}
-}
-
 func TestAggregateStatsSanity(t *testing.T) {
 	c := cluster.MustBuild(cluster.Prototype(2, 16, 13))
 	res, err := RunAggregate(c, AggregateSpec{Loops: 1, CallsPerLoop: 100}, sim.Minute)
