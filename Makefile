@@ -18,19 +18,23 @@ vet:
 	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r $(GOFMT) -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
+# GATE names the differential gate and the tests that compare its rows'
+# renders. race leaves them to race-sharded, which runs them once per width.
+GATE = TestDifferential|TestGoldenHashes|TestEngineSwapBitIdentical|TestFig3ParallelBitIdentical
+
 # The experiment harness fans simulation runs out across goroutines; every
 # change must pass the race detector, not just the plain test run.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -skip '^($(GATE))$$' ./...
 
-# race-sharded re-runs the differential gate (TestDifferential) and the
-# engine's sharded tests under the race detector at two scheduler widths.
-# GOMAXPROCS changes how shard worker goroutines interleave, so both widths
-# must stay clean AND bit-identical — the tests themselves compare sharded
-# output against the serial engine.
+# race-sharded runs the differential gate, the tests that compare its rows
+# and the engine's sharded tests under the race detector at two scheduler
+# widths. GOMAXPROCS changes how shard worker goroutines interleave, so both
+# widths must stay clean AND bit-identical — the tests themselves compare
+# sharded output against the serial engine.
 race-sharded:
-	GOMAXPROCS=2 $(GO) test -race -count=1 -run '^TestShard|^TestDifferential$$' ./internal/sim/ ./internal/experiment/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run '^TestShard|^TestDifferential$$' ./internal/sim/ ./internal/experiment/
+	GOMAXPROCS=2 $(GO) test -race -count=1 -run '^TestShard|^($(GATE))$$' ./internal/sim/ ./internal/experiment/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run '^TestShard|^($(GATE))$$' ./internal/sim/ ./internal/experiment/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -261,9 +261,8 @@ flags for run/all (may precede or follow experiment names):
                procs/shard-procs, so the total never exceeds -procs.
                0 or 1 runs each simulation on the serial engine. Applies
                to every experiment (single-node runs stay serial).
-               Output does not depend on N > 1, and it matches the
-               serial engine's except in some jittered runs, where
-               same-time cross-shard deliveries can order differently.
+               Output does not depend on N; it matches the serial
+               engine's.
   -csv         CSV output
   -v           progress on stderr (includes per-run pdes window stats
                when -shard-procs is active)

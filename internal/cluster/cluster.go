@@ -63,11 +63,9 @@ type Config struct {
 	// Configurations the sharded core cannot execute (hardware collectives,
 	// single node, zero fabric latency) silently fall back to the serial
 	// engine. Sharded output does not depend on the worker count or the
-	// group size, and it matches the serial engine's except in some
-	// jittered configurations, where same-time cross-shard deliveries can
-	// order differently. Jitter and workload imbalance draw from
-	// counter-based streams (pure functions of identity), so they are
-	// shard-safe.
+	// group size, and it matches the serial engine's. Jitter and workload
+	// imbalance draw from counter-based streams (pure functions of
+	// identity), so they are shard-safe.
 	IntraRunWorkers int
 
 	// Faults enables deterministic fault injection: crashes, stragglers,

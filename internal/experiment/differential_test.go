@@ -40,7 +40,7 @@ var (
 	sharded1 = diffCol{"sharded/1", sim.CoreSharded, 1}
 	sharded2 = diffCol{"sharded/2", sim.CoreWheel, 2}
 	sharded4 = diffCol{"sharded/4", sim.CoreWheel, 4}
-	columns  = []diffCol{heapCol, wheelCol, sharded1, sharded2, sharded4}
+	others   = []diffCol{heapCol, sharded1, sharded2, sharded4} // compared with the wheel
 )
 
 // shape checks that c was built on the column's engine: serial columns
@@ -74,23 +74,10 @@ type diffRow struct {
 	sweep string // experiment name; empty for a cluster run
 	cfg   func() cluster.Config
 	run   func(c *cluster.Cluster) (any, error)
-	// check adds assertions on a cluster run's cluster, after the column's
-	// own checks passed.
-	check func(c *cluster.Cluster, col diffCol) error
+	// check adds assertions on a cluster run's cluster and result, after
+	// the column's own checks passed.
+	check func(c *cluster.Cluster, res any, col diffCol) error
 	short bool // in the -short subset
-	// serialDiffers compares the sharded columns with sharded/1 instead of
-	// the wheel, for jittered runs where the sharded core breaks a tie
-	// between a cross-shard delivery and a local event due at the same
-	// instant differently from the serial engine.
-	serialDiffers bool
-}
-
-// against is the column whose cell col's cell must equal.
-func (r diffRow) against(col diffCol) diffCol {
-	if r.serialDiffers && col.workers > 0 {
-		return sharded1
-	}
-	return wheelCol
 }
 
 // allreduce returns a run of back-to-back Allreduce calls; a fault-free
@@ -134,7 +121,7 @@ var rows = []diffRow{
 			return cfg
 		},
 		// 1, 2 and 4 workers put 4, 2 and 1 nodes on each shard.
-		check: func(c *cluster.Cluster, col diffCol) error {
+		check: func(c *cluster.Cluster, _ any, col diffCol) error {
 			if col.workers == 0 {
 				return nil
 			}
@@ -146,13 +133,13 @@ var rows = []diffRow{
 			return nil
 		}},
 	// Drops and retries, a partial crash with re-planning, daemon stalls
-	// and a partition in one run.
+	// and a partition in one run, which the crashes end partway through.
 	{name: "faulty-4x8", short: true, run: allreduce(400),
 		cfg: func() cluster.Config {
 			cfg := cluster.Prototype(4, 8, 11)
 			cfg.Faults = &fault.Config{
 				Policy: fault.PolicyReplan, DetectLatency: 50 * sim.Microsecond,
-				CrashProb: 0.4, CrashWindow: 2 * sim.Millisecond, ReplanDrain: 500 * sim.Microsecond,
+				CrashProb: 0.4, CrashWindow: 40 * sim.Millisecond, ReplanDrain: 500 * sim.Microsecond,
 				DropRate:       0.01,
 				PartitionStart: 200 * sim.Microsecond, PartitionDuration: 100 * sim.Microsecond,
 				PartitionFrac: 0.5,
@@ -163,9 +150,11 @@ var rows = []diffRow{
 			cfg.MPI.SendRetries = 8
 			return cfg
 		},
-		check: func(c *cluster.Cluster, _ diffCol) error {
-			if rep := c.FaultReport(); rep.Dropped == 0 || rep.Stalls == 0 {
-				return fmt.Errorf("scenario too quiet to be a useful pin: %+v", rep)
+		check: func(c *cluster.Cluster, res any, _ diffCol) error {
+			calls := len(res.(workload.AggregateResult).TimesUS)
+			if rep := c.FaultReport(); rep.Dropped == 0 || rep.Stalls == 0 || calls < 50 || c.Job.TerminatedAt() == 0 {
+				return fmt.Errorf("scenario too quiet to be a useful pin: %d calls, ended at %v, %+v",
+					calls, c.Job.TerminatedAt(), rep)
 			}
 			return nil
 		}},
@@ -191,14 +180,22 @@ var rows = []diffRow{
 			}
 			return res, err
 		}},
-	// At 12us fabric latency seed 3's per-call times differ from the
-	// serial engine's.
-	{name: "jitter12us-8x16", short: true, run: allreduce(128), serialDiffers: true,
-		cfg: func() cluster.Config {
-			cfg := jittered(cluster.Vanilla(8, 16, 3), 2*sim.Microsecond)
-			cfg.Network.Latency = 12 * sim.Microsecond
-			return cfg
-		}},
+	// Jittered runs whose per-call times depend on a cross-shard delivery
+	// firing among local events due at the same instant in the order they
+	// were scheduled.
+	{name: "jitter12us-8x16", short: true, run: allreduce(128), cfg: jitter8x16(12*sim.Microsecond, 3)},
+	{name: "jitter6us-8x16-s2", short: true, run: allreduce(128), cfg: jitter8x16(6*sim.Microsecond, 2)},
+	{name: "jitter6us-8x16-s5", short: true, run: allreduce(128), cfg: jitter8x16(6*sim.Microsecond, 5)},
+}
+
+// jitter8x16 is Vanilla(8, 16, seed) with 2us fabric jitter at the given
+// latency.
+func jitter8x16(latency sim.Time, seed int64) func() cluster.Config {
+	return func() cluster.Config {
+		cfg := jittered(cluster.Vanilla(8, 16, seed), 2*sim.Microsecond)
+		cfg.Network.Latency = latency
+		return cfg
+	}
 }
 
 // renderCell renders row r on column col: a sweep as its table's text plus
@@ -227,13 +224,13 @@ func renderCell(tb testing.TB, r diffRow, col diffCol) []byte {
 		if err != nil {
 			tb.Fatalf("%s on %s: %v", r.name, col.name, err)
 		}
-		fmt.Fprintf(&out, "%#v\nsends=%d\n%#v\n", res, c.Job.P2PSends(), c.FaultReport())
+		fmt.Fprintf(&out, "%#v\nsends=%d terminated=%d\n%#v\n", res, c.Job.P2PSends(), c.Job.TerminatedAt(), c.FaultReport())
 		err = col.shape(c)
 		if err == nil && c.Group != nil {
 			err = windowed(c.Group.Stats().Windows, c.Fabric.Stats().CrossShardSends)
 		}
 		if err == nil && r.check != nil {
-			err = r.check(c, col)
+			err = r.check(c, res, col)
 		}
 		fail(err)
 		return out.Bytes()
@@ -306,17 +303,13 @@ func cell(tb testing.TB, r diffRow, col diffCol) []byte {
 }
 
 // requireAgree renders r on every column and fails tb where a cell differs
-// from the cell it must equal.
+// from the wheel's.
 func requireAgree(tb testing.TB, r diffRow) {
 	tb.Helper()
-	cells := map[diffCol][]byte{}
-	for _, col := range columns {
-		cells[col] = cell(tb, r, col)
-	}
-	for _, col := range columns {
-		if want := r.against(col); !bytes.Equal(cells[col], cells[want]) {
-			tb.Errorf("%s: %s differs from %s\n--- %s ---\n%s--- %s ---\n%s",
-				r.name, col.name, want.name, want.name, cells[want], col.name, cells[col])
+	want := cell(tb, r, wheelCol)
+	for _, col := range others {
+		if got := cell(tb, r, col); !bytes.Equal(got, want) {
+			tb.Errorf("%s: %s differs from wheel\n--- wheel ---\n%s--- %s ---\n%s", r.name, col.name, want, col.name, got)
 		}
 	}
 }
@@ -364,8 +357,7 @@ func TestFig3ParallelBitIdentical(t *testing.T) {
 }
 
 // FuzzDifferential decodes its input into a small Allreduce cluster and
-// requires the serial cores to agree, the sharded columns to agree with
-// each other and, without jitter, with the serial cores.
+// requires every column to render the wheel's bytes.
 func FuzzDifferential(f *testing.F) {
 	f.Add(false, uint8(2), uint8(6), uint8(0), uint8(2), uint8(12), int64(1))
 	f.Add(true, uint8(1), uint8(4), uint8(2), uint8(1), uint8(20), int64(13))
@@ -383,8 +375,7 @@ func FuzzDifferential(f *testing.F) {
 				cfg.Network.Latency = []sim.Time{6, 12, 24}[latency%3] * sim.Microsecond
 				return cfg
 			},
-			run:           allreduce(4 + int(calls%29)),
-			serialDiffers: jitter > 0,
+			run: allreduce(4 + int(calls%29)),
 		})
 	})
 }

@@ -51,11 +51,9 @@ type Options struct {
 	// workers. The Parallelism value is the TOTAL worker budget — the
 	// sweep-level pool shrinks to Parallelism/ShardWorkers workers so
 	// sweep x intra-run never oversubscribes it. ShardWorkers above the
-	// budget is clamped to it. Outputs do not depend on the value above 1,
-	// and they match the serial engine's except in some jittered
-	// configurations, where same-time cross-shard deliveries can order
-	// differently (see cluster.Config.IntraRunWorkers). 0 and 1 keep runs
-	// on the serial engine.
+	// budget is clamped to it. Outputs do not depend on the value, and
+	// they match the serial engine's. 0 and 1 keep runs on the serial
+	// engine.
 	ShardWorkers int
 	// Progress, when non-nil, receives one line per run, tagged with its
 	// label, nodes and seed (sharded runs add one engine-window line). Under

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -219,16 +220,58 @@ func TestCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeKeepsEngine checks that a serial sweep's checkpoint is
-// not replayed into a sharded sweep. The run is one the two engines
-// disagree on (fabric jitter at a cut 12us latency, seed 3), so a resumed
-// ShardWorkers 2 sweep gives the fresh ShardWorkers 2 cells only if it
-// re-simulates instead of replaying the serial ones.
-func TestCheckpointResumeKeepsEngine(t *testing.T) {
+// checkReplaysIntoShardedSweeps runs sweep serially with a checkpoint and
+// then resumes it at ShardWorkers 2 and 4: the fingerprint leaves the
+// engine out, so every cell must replay from the serial checkpoint, byte
+// for byte. It returns the serial output.
+func checkReplaysIntoShardedSweeps(t *testing.T, sweep func(Options) (string, error), base Options) string {
+	t.Helper()
 	path := t.TempDir() + "/sweep.jsonl"
-	sweep := func(o Options) pointStats {
+	render := func(o Options) (string, []string) {
 		t.Helper()
 		defer resetCheckpointsForTest()
+		var lines []string
+		o.Progress = func(l string) { lines = append(lines, l) }
+		o.CheckpointPath = path
+		out, err := sweep(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, lines
+	}
+	serial := base
+	serial.Parallelism = 2
+	want, runs := render(serial)
+	if len(runs) == 0 {
+		t.Fatal("the serial sweep reported no cells")
+	}
+	for _, w := range []int{2, 4} {
+		o := base
+		o.Parallelism, o.ShardWorkers, o.Resume = w, w, true
+		got, lines := render(o)
+		if got != want {
+			t.Errorf("replayed at ShardWorkers %d:\n%s\nserial:\n%s", w, got, want)
+		}
+		if len(lines) != len(runs) {
+			t.Errorf("%d progress lines at ShardWorkers %d, want %d", len(lines), w, len(runs))
+		}
+		for _, l := range lines {
+			if !strings.Contains(l, "checkpoint cached") {
+				t.Errorf("a serial checkpoint did not replay at ShardWorkers %d: %s", w, l)
+			}
+		}
+	}
+	return want
+}
+
+// TestCheckpointResumeKeepsEngine checks that a serial sweep's checkpoint,
+// resumed into sharded sweeps, gives the cells a fresh sharded sweep
+// computes. The run is a jittered 8-node run at 12us fabric latency (seed
+// 3) whose per-call times depend on how shards order events due at one
+// instant; the differential gate's jitter12us-8x16 row pins its sharded
+// output to the serial one.
+func TestCheckpointResumeKeepsEngine(t *testing.T) {
+	jitterCut := func(o Options) (string, error) {
 		runs := o.seeded(nil, "jitter-cut", 8, 3, func(seed int64) cluster.Config {
 			cfg := cluster.Vanilla(8, 16, seed)
 			cfg.Network.Jitter = 2 * sim.Microsecond
@@ -236,63 +279,34 @@ func TestCheckpointResumeKeepsEngine(t *testing.T) {
 			return cfg
 		})
 		pts, err := runAggregate(o, runs, o.Seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts[0]
+		return fmt.Sprintf("%#v", pts), err
 	}
-	base := Options{MaxNodes: 8, Calls: 128, Seeds: 1, BaseSeed: 1, Parallelism: 2}
-	serial := base
-	serial.CheckpointPath = path
-	serialPt := sweep(serial)
+	base := Options{MaxNodes: 8, Calls: 128, Seeds: 1, BaseSeed: 1}
+	replayed := checkReplaysIntoShardedSweeps(t, jitterCut, base)
 	sharded := base
-	sharded.ShardWorkers = 2
-	fresh := sweep(sharded)
-	if fresh == serialPt {
-		t.Fatal("serial and sharded cells agree, so this run no longer tells a replayed serial cell apart")
+	sharded.Parallelism, sharded.ShardWorkers = 2, 2
+	fresh, err := jitterCut(sharded)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resumed := sharded
-	resumed.CheckpointPath = path
-	resumed.Resume = true
-	if got := sweep(resumed); got != fresh {
-		t.Fatalf("resumed sharded sweep = %+v, fresh sharded sweep = %+v (serial %+v)", got, fresh, serialPt)
+	if replayed != fresh {
+		t.Fatalf("resumed sharded sweep = %s, fresh sharded sweep = %s", replayed, fresh)
 	}
 }
 
-// TestCheckpointReplaysAcrossShardWorkerCounts checks the other half of the
-// fingerprint: sharded output does not depend on the worker count, so a
-// ShardWorkers 2 checkpoint replays in full at ShardWorkers 4.
+// TestCheckpointReplaysAcrossShardWorkerCounts checks that a serial fig3
+// checkpoint replays every cell, byte for byte, at ShardWorkers 2 and 4.
 func TestCheckpointReplaysAcrossShardWorkerCounts(t *testing.T) {
-	o := detOptions()
-	o.Parallelism, o.ShardWorkers = 2, 2
-	o.CheckpointPath = t.TempDir() + "/sweep.jsonl"
-	render := func(o Options) []byte {
-		t.Helper()
-		defer resetCheckpointsForTest()
+	checkReplaysIntoShardedSweeps(t, func(o Options) (string, error) {
 		tab, err := Fig3VanillaScaling(o)
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		var buf bytes.Buffer
 		tab.Render(&buf)
 		tab.CSV(&buf)
-		return buf.Bytes()
-	}
-	first := render(o)
-	o.Parallelism, o.ShardWorkers, o.Resume = 4, 4, true
-	var lines []string
-	o.Progress = func(l string) { lines = append(lines, l) }
-	if second := render(o); !bytes.Equal(first, second) {
-		t.Errorf("replayed table differs:\n--- first ---\n%s\n--- replayed ---\n%s", first, second)
-	}
-	if len(lines) != 6 { // detOptions: nodes {1,2,4} x 2 seeds
-		t.Fatalf("%d progress lines, want 6", len(lines))
-	}
-	for _, l := range lines {
-		if !strings.Contains(l, "checkpoint cached") {
-			t.Fatalf("a ShardWorkers 2 checkpoint did not replay at ShardWorkers 4: %s", l)
-		}
-	}
+		return buf.String(), nil
+	}, detOptions())
 }
 
 // TestQuarantineNonAggregateRow checks that quarantine reaches the

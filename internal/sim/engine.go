@@ -45,7 +45,9 @@ const RecurStop Time = -1
 // never the *Event, which keeps the hot ordering loops cache-friendly. An
 // entry is live while its generation matches the event's current lease;
 // canceled or rescheduled leases leave stale entries behind that are
-// skipped when encountered.
+// skipped when encountered. seq carries the time the entry was scheduled
+// and its order among that instant's schedules (see seqShift), so the
+// entry stays 32 bytes.
 type entry struct {
 	when Time
 	seq  uint64
@@ -165,6 +167,19 @@ const (
 // produce bit-identical simulations.
 var DefaultCore = CoreWheel
 
+// An entry's seq packs the time it was scheduled, in nanoseconds, above a
+// seqShift-bit counter, so entries due at the same instant sort by (time
+// scheduled, order scheduled). An engine numbers its own schedules of one
+// instant from the counter's lower half; a ShardGroup numbers the
+// cross-shard deliveries it merges from the upper half (mergedSeq).
+const (
+	seqShift  = 20
+	mergedSeq = 1 << (seqShift - 1)
+	// seqTimeLimit is the first time the packing cannot hold: 2^44 ns,
+	// about 4.89 hours.
+	seqTimeLimit = Time(1) << (64 - seqShift)
+)
+
 // eventPoolCap bounds the free list of recycled Event records. Beyond this
 // the records are left to the garbage collector; the cap only exists to
 // stop a burst of pending events from pinning memory forever.
@@ -172,11 +187,29 @@ const eventPoolCap = 4096
 
 // Engine is the discrete-event simulation core. It is not safe for
 // concurrent use; the whole simulation is single-goroutine by design so that
-// runs are deterministic. Events fire in strict (time, schedule-sequence)
-// order regardless of the selected Core.
+// runs are deterministic.
+//
+// The ordering contract is the same on every Core: events fire in order of
+// (time due, time scheduled, order scheduled). On one engine the order
+// scheduled is the order of the At, After, Recur and Reschedule calls and
+// Recur re-arms. A ShardGroup keeps the contract across shards by ordering
+// each cross-shard delivery as scheduled at its send time, so it fires
+// among the destination's own events where a serial engine fires it. One
+// tie stays open: events that two shards schedule at the same instant, due
+// at the same instant. A serial engine orders them by global execution
+// order, which a shard cannot see; a shard fires its own events first, then
+// the deliveries in order of source shard and staging.
+//
+// The numbering has limits (see seqShift), and a ShardGroup panics past
+// them: simulated time below 2^44 ns (about 4.89 hours), at most 2^19
+// events scheduled at one instant on one shard, and at most 2^19
+// deliveries merged into one shard at one barrier. A serial engine's order
+// needs none of them, since its sequence number only grows; past 2^44 ns
+// the number can wrap, at the earliest 2^20 schedules after one made at
+// 2^44-1 ns.
 type Engine struct {
 	now       Time
-	seq       uint64
+	seq       uint64 // the last sequence number drawn (nextSeq)
 	fired     uint64
 	scheduled uint64
 	live      int // pending events (excludes lazily-canceled entries)
@@ -269,11 +302,17 @@ func (e *Engine) recycle(ev *Event) {
 	}
 }
 
-// enqueue inserts a new entry for ev at time t, drawing the next sequence
-// number.
-func (e *Engine) enqueue(ev *Event, t Time) {
-	en := entry{when: t, seq: e.seq, ev: ev, gen: ev.gen}
-	e.seq++
+// nextSeq advances seq to the number of an entry scheduled now: one past
+// the last, and at least now's packed time. On one engine it only grows.
+// It leaves the number in e.seq rather than returning it, which keeps At
+// within the inliner's budget.
+func (e *Engine) nextSeq() {
+	e.seq = max(e.seq+1, uint64(e.now)<<seqShift)
+}
+
+// enqueue inserts an entry for ev at time t with sequence number seq.
+func (e *Engine) enqueue(ev *Event, t Time, seq uint64) {
+	en := entry{when: t, seq: seq, ev: ev, gen: ev.gen}
 	if e.useHeap {
 		e.heap.push(en)
 	} else {
@@ -285,6 +324,13 @@ func (e *Engine) enqueue(ev *Event, t Time) {
 // it always indicates a model bug, and silently reordering time would
 // destroy causality. label is kept for debugging and may be empty.
 func (e *Engine) At(t Time, label string, fn func()) *Event {
+	e.nextSeq()
+	return e.at(t, e.seq, label, fn)
+}
+
+// at is At with the entry's sequence number given. A ShardGroup merges
+// cross-shard deliveries through it.
+func (e *Engine) at(t Time, seq uint64, label string, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At with nil fn")
 	}
@@ -293,7 +339,7 @@ func (e *Engine) At(t Time, label string, fn func()) *Event {
 	}
 	ev := e.lease(t, label)
 	ev.fn = fn
-	e.enqueue(ev, t)
+	e.enqueue(ev, t, seq)
 	e.scheduled++
 	e.live++
 	return ev
@@ -323,7 +369,8 @@ func (e *Engine) Recur(first Time, label string, fn func() Time) *Event {
 	}
 	ev := e.lease(first, label)
 	ev.recur = fn
-	e.enqueue(ev, first)
+	e.nextSeq()
+	e.enqueue(ev, first, e.seq)
 	e.scheduled++
 	e.live++
 	return ev
@@ -358,7 +405,8 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 	}
 	ev.gen++ // the old entry goes stale in place
 	ev.when = t
-	e.enqueue(ev, t)
+	e.nextSeq()
+	e.enqueue(ev, t, e.seq)
 }
 
 // popNext removes and returns the earliest live entry.
@@ -422,7 +470,8 @@ func (e *Engine) Step() bool {
 		// callback, matching the trailing-At idiom this replaces.
 		ev.pending = true
 		ev.when = next
-		e.enqueue(ev, next)
+		e.nextSeq()
+		e.enqueue(ev, next, e.seq)
 		e.scheduled++
 		e.live++
 		return true
@@ -511,6 +560,13 @@ func (e *Engine) runWindow(end Time) int {
 	e.windowEnd = end
 	n := 0
 	for !e.stopped {
+		// The shard's own schedules of an instant must number below the
+		// deliveries sent at that instant. The clock moves only in Step, so
+		// checking here covers every instant the shard schedules at.
+		if e.seq >= uint64(e.now)<<seqShift|mergedSeq {
+			panic(fmt.Sprintf("sim: shard %d scheduled more events at %v than the %d it can order at one instant",
+				e.shard, e.now, mergedSeq))
+		}
 		when, ok := e.peekNext()
 		if !ok || when >= end {
 			break
@@ -525,7 +581,8 @@ func (e *Engine) runWindow(end Time) int {
 // ScheduleOn schedules fn at time t on dst, which may be a different shard
 // of the same ShardGroup. For a standalone destination or dst == e it is
 // exactly dst.At. Across shards the event is staged in this shard's outbox
-// and merged into dst's queue at the window barrier; t must lie at or past
+// and merged into dst's queue at the window barrier, ordered as scheduled at
+// its send time (see Engine); t must lie at or past
 // the current window's end (the conservative lookahead guarantee), which
 // holds for anything scheduled at least the group lookahead in the future.
 func (e *Engine) ScheduleOn(dst *Engine, t Time, label string, fn func()) {
@@ -546,5 +603,5 @@ func (e *Engine) ScheduleOn(dst *Engine, t Time, label string, fn func()) {
 		panic(fmt.Sprintf("sim: cross-shard %q at %v inside the current window (end %v): below the group lookahead",
 			label, t, e.windowEnd))
 	}
-	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, label: label, fn: fn})
+	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, sent: e.now, label: label, fn: fn})
 }

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
@@ -22,6 +26,106 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("event %d at %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestEntryIs32Bytes pins the queue entry's size. The time an entry was
+// scheduled rides in seq because, as a field of its own, it cut the wheel's
+// events/s on enginebench's node-tick-heavy scenario by a quarter.
+func TestEntryIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 32 {
+		t.Fatalf("entry is %d bytes, want 32", n)
+	}
+}
+
+// panicMsg runs run and returns what it panicked with, "" if it did not.
+func panicMsg(run func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	run()
+	return ""
+}
+
+// panicsWith reports whether msg is a panic, naming want, exactly when want
+// is non-empty.
+func panicsWith(msg, want string) bool {
+	return (want == "") == (msg == "") && strings.Contains(msg, want)
+}
+
+// TestSeqTimeLimit pins the time range of the packed sequence number:
+// a sharded run fires an event just before seqTimeLimit and panics at it,
+// while a serial engine keeps its order past it.
+func TestSeqTimeLimit(t *testing.T) {
+	for _, at := range []Time{seqTimeLimit - 1, seqTimeLimit} {
+		g := NewShardGroup(0, 2, 1, 10)
+		fired := false
+		g.Shard(0).At(at, "", func() { fired = true })
+		want := ""
+		if at == seqTimeLimit {
+			want = "sharded run reached"
+		}
+		if msg := panicMsg(func() { g.RunUntilIdle() }); !panicsWith(msg, want) || fired != (want == "") {
+			t.Errorf("event at %v: panicked %q, fired %t", at, msg, fired)
+		}
+	}
+	e := NewEngine(0)
+	var got []int
+	for i := range 3 {
+		e.At(seqTimeLimit+Time(i), "", func() { e.At(seqTimeLimit+10, "", func() { got = append(got, i) }) })
+	}
+	e.RunUntilIdle()
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("serial engine past the limit fired %v, want [0 1 2]", got)
+	}
+}
+
+// TestSeqInstantLimit pins the counter's lower half: a shard panics
+// once it schedules more events at one instant than it can number below
+// that instant's deliveries, and a serial engine has no such limit.
+func TestSeqInstantLimit(t *testing.T) {
+	for _, c := range []struct {
+		sharded bool
+		n       int // events scheduled at t=1: one At, then reschedules
+	}{{false, mergedSeq + 1}, {true, mergedSeq}, {true, mergedSeq + 1}} {
+		g := NewShardGroup(0, 2, 1, 10)
+		e, run := g.Shard(0), g.RunUntilIdle
+		if !c.sharded {
+			e = NewEngine(0)
+			run = e.RunUntilIdle
+		}
+		fired := false
+		e.At(1, "", func() {
+			ev := e.At(Microsecond, "", func() { fired = true })
+			for range c.n - 1 {
+				e.Reschedule(ev, Microsecond)
+			}
+		})
+		want := ""
+		if c.sharded && c.n > mergedSeq {
+			want = "at one instant"
+		}
+		if msg := panicMsg(func() { run() }); !panicsWith(msg, want) || fired != (want == "") {
+			t.Errorf("sharded %t, %d schedules at one instant: panicked %q, fired %t", c.sharded, c.n, msg, fired)
+		}
+	}
+}
+
+// TestSeqMergeLimit pins the counter's upper half: a barrier that would
+// merge more deliveries into one shard than it can number panics before it
+// merges any.
+func TestSeqMergeLimit(t *testing.T) {
+	g := NewShardGroup(0, 2, 1, 10)
+	a, b := g.Shard(0), g.Shard(1)
+	a.At(1, "send", func() {
+		for range mergedSeq + 1 {
+			a.ScheduleOn(b, 20, "delivery", func() {})
+		}
+	})
+	if msg := panicMsg(func() { g.RunUntilIdle() }); !panicsWith(msg, "at one barrier") || b.Pending() != 0 {
+		t.Errorf("merging %d deliveries panicked %q with %d merged", mergedSeq+1, msg, b.Pending())
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +12,9 @@ import (
 // accumulate in the source shard's outbox in execution order and are merged
 // into the destination queue at the window barrier.
 type crossEntry struct {
-	when  Time
-	label string
-	fn    func()
+	when, sent Time // due and send times
+	label      string
+	fn         func()
 }
 
 // GroupStats counts a ShardGroup's window machinery. All fields except
@@ -54,10 +53,11 @@ type GroupStats struct {
 // schedule for other shards are staged in per-destination outboxes, because
 // the lookahead (the fabric's minimum cross-node delivery latency)
 // guarantees those events land at or beyond the window end. At the barrier
-// the coordinator merges each destination's staged entries in (when,
-// source-shard, staging-order) order, drawing destination sequence numbers
-// in that canonical order — so the merged queue state, and therefore the
-// whole simulation, is identical at any worker count, including one.
+// the coordinator merges each destination's staged entries, numbering each
+// as scheduled at its send time and those sent at one instant in (source
+// shard, staging order) — so the merged queue state, and therefore the
+// whole simulation, is identical at any worker count, including one, and
+// matches the serial engine's up to the one open tie (see Engine).
 type ShardGroup struct {
 	shards    []*Engine
 	lookahead Time
@@ -72,9 +72,8 @@ type ShardGroup struct {
 	deadlineNs  int64
 	deadlineHit bool
 
-	batch  []crossEntry // merge scratch, reused across barriers
-	next   []Time       // each shard's next event time, Forever when idle
-	active []*Engine    // shards with events inside the current window
+	next   []Time    // each shard's next event time, Forever when idle
+	active []*Engine // shards with events inside the current window
 }
 
 // NewShardGroup builds n wheel-backed engine shards sharing seed, executed
@@ -185,8 +184,11 @@ func (g *ShardGroup) nextWindow(until Time) (end Time, ok bool) {
 	if start == Forever || start > until {
 		return 0, false
 	}
-	limit := Forever
-	if until < Forever-1 {
+	if start >= seqTimeLimit {
+		panic(fmt.Sprintf("sim: sharded run reached %v; shards order events only before %v", start, seqTimeLimit))
+	}
+	limit := seqTimeLimit
+	if until < limit {
 		limit = until + 1 // Run semantics: fire events with when <= until
 	}
 	end = start + g.lookahead
@@ -290,37 +292,25 @@ func (g *ShardGroup) Run(until Time) uint64 {
 func (g *ShardGroup) RunUntilIdle() uint64 { return g.Run(Forever) }
 
 // mergeOutboxes drains every shard's staged cross-shard events into the
-// destination queues. For each destination the entries are ordered by
-// (when, source shard, staging order) — the stable sort keys only on when,
-// and concatenation in shard order supplies the rest — and destination
-// sequence numbers are drawn in that order, making the merged queue state
-// independent of worker scheduling.
+// destination queues. Each delivery is numbered as scheduled at its send
+// time, after the destination's own schedules of that instant, and those
+// sent at one instant in merge order: source shard, then staging order.
+// The merged queue state is therefore independent of worker scheduling.
 func (g *ShardGroup) mergeOutboxes() {
 	for di, dst := range g.shards {
-		b := g.batch[:0]
+		n := 0 // deliveries merged into dst so far
 		for _, src := range g.shards {
 			ob := src.outbox[di]
-			if len(ob) == 0 {
-				continue
+			if n+len(ob) > mergedSeq {
+				panic(fmt.Sprintf("sim: more than %d deliveries into shard %d at one barrier", mergedSeq, di))
 			}
-			b = append(b, ob...)
-			for k := range ob {
+			for k, ce := range ob {
+				dst.at(ce.when, uint64(ce.sent)<<seqShift|mergedSeq|uint64(n+k), ce.label, ce.fn)
 				ob[k] = crossEntry{} // release the closure references
 			}
+			n += len(ob)
 			src.outbox[di] = ob[:0]
 		}
-		if len(b) == 0 {
-			g.batch = b
-			continue
-		}
-		sort.SliceStable(b, func(i, j int) bool { return b[i].when < b[j].when })
-		for _, ce := range b {
-			dst.At(ce.when, ce.label, ce.fn)
-		}
-		g.stats.CrossShardEvents += uint64(len(b))
-		for k := range b {
-			b[k] = crossEntry{}
-		}
-		g.batch = b[:0]
+		g.stats.CrossShardEvents += uint64(n)
 	}
 }

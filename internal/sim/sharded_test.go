@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -15,8 +16,10 @@ import (
 // execution order, and every scheduled time is globally unique by
 // construction: times are coarse*diffU + (shard*diffM + n) where n is a
 // per-shard counter, so the low digits are a globally unique slot. Unique
-// times make the fire order a total order on `when` alone, which lets the
-// logs be compared across engines that break same-time ties differently.
+// times make the fire order a total order on `when` alone, so a log that
+// shards append to concurrently sorts into one order. They also leave
+// same-time ties untested here: TestShardedDeliveryOrdersBySendTime pins
+// the tie rule.
 const (
 	diffShards = 5
 	diffM      = 1 << 16
@@ -245,6 +248,34 @@ func TestShardedDifferential(t *testing.T) {
 		logsEqual(t, "sharded/1", ref, runSharded(seed, 1, -1))
 		logsEqual(t, "sharded/2", ref, runSharded(seed, 2, -1))
 		logsEqual(t, "sharded/4", ref, runSharded(seed, 4, -1))
+	}
+}
+
+// TestShardedDeliveryOrdersBySendTime runs one script serially and on a
+// 2-shard group with a 10ns lookahead: shard A schedules a local event due
+// at 20 at t=3, B sends A a delivery due at 20 at t=5, and A schedules
+// another local event due at 20 at t=7. Events due at one instant fire in
+// the order they were scheduled, so the delivery fires between the two.
+func TestShardedDeliveryOrdersBySendTime(t *testing.T) {
+	script := func(a, b *Engine, run func() uint64) []string {
+		var got []string
+		fire := func(name string) func() { return func() { got = append(got, name) } }
+		a.At(3, "", func() { a.At(20, "before", fire("before")) })
+		b.At(5, "", func() { b.ScheduleOn(a, 20, "delivery", fire("delivery")) })
+		a.At(7, "", func() { a.At(20, "after", fire("after")) })
+		run()
+		return got
+	}
+	want := []string{"before", "delivery", "after"}
+	e := NewEngine(0)
+	g := NewShardGroup(0, 2, 2, 10)
+	for name, got := range map[string][]string{
+		"serial":  script(e, e, e.RunUntilIdle),
+		"sharded": script(g.Shard(0), g.Shard(1), g.RunUntilIdle),
+	} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s fired %v, want %v", name, got, want)
+		}
 	}
 }
 

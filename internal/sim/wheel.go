@@ -27,10 +27,12 @@ import (
 // Allreduce scenario (jitter-8) 15-30% slower.
 //
 // An entry scheduled below the frontier (a handler scheduling at or just
-// after now) is appended to the run when it sorts after the run's last
-// entry; it carries the newest seq, so that holds whenever it is due no
-// earlier. Otherwise it goes to a small "late" heap, and the earliest
-// pending entry is the smaller of the run's head and the late heap's top.
+// after now, or a cross-shard delivery merged there) is appended to the
+// run when it sorts after the run's last entry. That holds for an entry
+// the engine numbered itself whenever it is due no earlier, since it
+// carries the newest seq. Otherwise it goes to a small "late" heap, and
+// the earliest pending entry is the smaller of the run's head and the
+// late heap's top.
 // The late heap keeps such an insert O(log n) even when the frontier has
 // leapt far ahead of the clock, as a peek at an idle shard's queue does.
 //
