@@ -422,8 +422,10 @@ func (e *Engine) popNext() (entry, bool) {
 	return e.wheel.popNext()
 }
 
-// peekNext reports the earliest live entry's time without firing it.
-func (e *Engine) peekNext() (Time, bool) {
+// peekNext reports the earliest live entry's time without firing it. The
+// wheel drains no near slot that starts at or after limit to find it, and
+// reports false when no live entry lies below limit (see wheel.advance).
+func (e *Engine) peekNext(limit Time) (Time, bool) {
 	if e.useHeap {
 		for len(e.heap) > 0 {
 			if e.heap[0].live() {
@@ -433,7 +435,7 @@ func (e *Engine) peekNext() (Time, bool) {
 		}
 		return 0, false
 	}
-	return e.wheel.peekNext()
+	return e.wheel.peekNext(limit)
 }
 
 // Step fires the next pending event, advancing the clock to its time.
@@ -498,7 +500,7 @@ func (e *Engine) Run(until Time) uint64 {
 			e.deadlineHit = true
 			break
 		}
-		when, ok := e.peekNext()
+		when, ok := e.peekNext(Forever)
 		if !ok || when > until {
 			break
 		}
@@ -567,7 +569,7 @@ func (e *Engine) runWindow(end Time) int {
 			panic(fmt.Sprintf("sim: shard %d scheduled more events at %v than the %d it can order at one instant",
 				e.shard, e.now, mergedSeq))
 		}
-		when, ok := e.peekNext()
+		when, ok := e.peekNext(end)
 		if !ok || when >= end {
 			break
 		}

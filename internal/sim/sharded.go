@@ -23,13 +23,13 @@ type crossEntry struct {
 type GroupStats struct {
 	// Windows is the number of conservative time windows executed.
 	Windows uint64
-	// ParallelWindows counts windows dispatched to the worker pool (at
-	// least two shards had events and the group has two workers; any
-	// other window runs inline).
+	// ParallelWindows counts windows dispatched to the worker pool (the
+	// bounds of at least two shards lay inside the window and the group has
+	// two workers; any other window runs inline).
 	ParallelWindows uint64
-	// ActiveShardWindows sums, over windows, the number of shards that had
-	// events inside the window — ActiveShardWindows/Windows is the mean
-	// available parallelism of the run.
+	// ActiveShardWindows sums, over windows, the number of shards that fired
+	// at least one event inside the window — ActiveShardWindows/Windows is
+	// the mean available parallelism of the run.
 	ActiveShardWindows uint64
 	// CrossShardEvents is the number of events staged across shards and
 	// merged at window barriers.
@@ -47,10 +47,11 @@ type GroupStats struct {
 // random stream drawn from any shard reproduces the serial engine's stream
 // exactly (streams are pure functions of seed and name).
 //
-// The execution model: every window starts at the globally earliest pending
-// event time T and spans [T, T+lookahead). Shards with events inside the
-// window execute concurrently on a bounded worker pool; events they
-// schedule for other shards are staged in per-destination outboxes, because
+// The execution model: every window starts at a lower bound T on the
+// globally earliest pending event time and spans [T, T+lookahead). Shards
+// that may hold events inside the window execute concurrently on a bounded
+// worker pool; events they schedule for other shards are staged in
+// per-destination outboxes, because
 // the lookahead (the fabric's minimum cross-node delivery latency)
 // guarantees those events land at or beyond the window end. At the barrier
 // the coordinator merges each destination's staged entries, numbering each
@@ -72,8 +73,8 @@ type ShardGroup struct {
 	deadlineNs  int64
 	deadlineHit bool
 
-	next   []Time    // each shard's next event time, Forever when idle
-	active []*Engine // shards with events inside the current window
+	next   []Time    // a lower bound on each shard's next event time, Forever when idle
+	active []*Engine // shards whose bound lies inside the current window
 }
 
 // NewShardGroup builds n wheel-backed engine shards sharing seed, executed
@@ -168,18 +169,22 @@ func (g *ShardGroup) pastDeadline() bool {
 func (g *ShardGroup) Stopped() bool { return g.stopped.Load() }
 
 // nextWindow finds the next window [start, end) covering events with
-// when <= until and collects the shards holding events inside it into
-// g.active, peeking each shard once. ok is false when no such window
-// exists.
+// when <= until and collects the shards that may hold events inside it into
+// g.active. ok is false when no such window exists.
+//
+// start is the least of the shards' lower bounds on their next event time
+// (wheel.earliest). Reading a bound moves no frontier, so a shard's frontier
+// stays within a slot of its window end, and what the shard schedules and
+// what is merged into it land in near slots, sorted once. A bound below the
+// real event is enough: every event lies at or after start, so every
+// cross-shard send lands at or after end; and an active shard leaves the
+// window with its bound at or after end, so windows make progress. A window
+// may fire nothing when a bound lies below the real next event.
 func (g *ShardGroup) nextWindow(until Time) (end Time, ok bool) {
 	start := Forever
 	for i, sh := range g.shards {
-		w, has := sh.peekNext()
-		if !has {
-			w = Forever
-		}
-		g.next[i] = w
-		start = min(start, w)
+		g.next[i] = sh.wheel.earliest()
+		start = min(start, g.next[i])
 	}
 	if start == Forever || start > until {
 		return 0, false
@@ -208,13 +213,14 @@ func (g *ShardGroup) nextWindow(until Time) (end Time, ok bool) {
 // the next event lies strictly after until. It returns the number of events
 // fired by this call. Run must only be called from one goroutine at a time.
 //
-// A window's participants are its active shards, capped by the dispatch
-// width: the configured budget, clamped to the shard count and to the
-// machine. Workers beyond GOMAXPROCS cannot run concurrently anyway — they
-// only queue behind each other and inflate barrier-stall accounting (a
-// 4-worker group on a 1-core box used to report ~3x the busy time as
-// "stall" that was pure oversubscription). A window with one participant
-// runs inline on the calling goroutine; any other goes to the pool.
+// A window's participants are its active shards (those whose bound lies
+// inside it, see nextWindow), capped by the dispatch width: the configured
+// budget, clamped to the shard count and to the machine. Workers beyond
+// GOMAXPROCS cannot run concurrently anyway — they only queue behind each
+// other and inflate barrier-stall accounting (a 4-worker group on a 1-core
+// box used to report ~3x the busy time as "stall" that was pure
+// oversubscription). A window with one participant runs inline on the
+// calling goroutine; any other goes to the pool.
 func (g *ShardGroup) Run(until Time) uint64 {
 	startFired := g.Fired()
 	w := min(g.workers, runtime.GOMAXPROCS(0), len(g.shards))
@@ -228,6 +234,7 @@ func (g *ShardGroup) Run(until Time) uint64 {
 		end      Time
 		cursor   atomic.Int64 // next index in act to claim
 		pids     atomic.Int64 // participant finish-slot allocator
+		busy     atomic.Int64 // shards in act that fired an event
 		finishNs = make([]int64, w)
 		wg       sync.WaitGroup
 	)
@@ -237,7 +244,9 @@ func (g *ShardGroup) Run(until Time) uint64 {
 			if i >= len(act) {
 				break
 			}
-			act[i].runWindow(end)
+			if act[i].runWindow(end) > 0 {
+				busy.Add(1)
+			}
 		}
 		finishNs[pids.Add(1)-1] = time.Since(t0).Nanoseconds()
 	}
@@ -259,7 +268,9 @@ func (g *ShardGroup) Run(until Time) uint64 {
 		act = g.active
 		if participants := min(w, len(act)); participants == 1 {
 			for _, sh := range act {
-				sh.runWindow(end)
+				if sh.runWindow(end) > 0 {
+					busy.Add(1)
+				}
 			}
 		} else {
 			t0 := time.Now()
@@ -281,7 +292,7 @@ func (g *ShardGroup) Run(until Time) uint64 {
 			}
 			g.stats.ParallelWindows++
 		}
-		g.stats.ActiveShardWindows += uint64(len(act))
+		g.stats.ActiveShardWindows += uint64(busy.Swap(0))
 		g.mergeOutboxes()
 		g.stats.Windows++
 	}

@@ -279,6 +279,43 @@ func TestShardedDeliveryOrdersBySendTime(t *testing.T) {
 	}
 }
 
+// TestShardedIdleShardKeepsSortedRun runs two shards with a 24us lookahead.
+// Shard 1's only own event is at 2ms, and shard 0 sends it a delivery one
+// lookahead ahead in every window, for 40 windows. A window that drained
+// shard 1's next slot to find its next event would move its frontier to 2ms,
+// and every delivery would then land below the frontier, before the sorted
+// run's last entry, in the late heap. After each barrier shard 1's late heap
+// must be empty and its frontier at most a lookahead and a slot past the
+// window end.
+func TestShardedIdleShardKeepsSortedRun(t *testing.T) {
+	const lookahead, windows = 24 * Microsecond, 40
+	g := NewShardGroup(0, 2, 2, lookahead)
+	src, dst := g.Shard(0), g.Shard(1)
+	dst.At(2*Millisecond, "own", func() {})
+	sent := 0
+	src.Recur(0, "send", func() Time {
+		src.ScheduleOn(dst, src.Now()+lookahead, "delivery", func() {})
+		if sent++; sent == windows {
+			return RecurStop
+		}
+		return src.Now() + lookahead
+	})
+	maxLate, maxAhead := 0, Time(0)
+	for k := Time(0); k < windows; k++ {
+		end := k*lookahead + 1 // Run(until) ends its last window at until+1
+		g.Run(end - 1)
+		maxLate = max(maxLate, len(dst.wheel.late))
+		maxAhead = max(maxAhead, dst.wheel.frontier-end)
+	}
+	if maxLate > 0 || maxAhead > lookahead+nearSlotWidth {
+		t.Errorf("late heap reached %d entries, frontier ran %v past the window end", maxLate, maxAhead)
+	}
+	g.RunUntilIdle()
+	if got := dst.Fired(); got != windows+1 {
+		t.Errorf("shard 1 fired %d events, want %d", got, windows+1)
+	}
+}
+
 // TestShardedStopDeterministic verifies that Stop called from an event
 // callback ends every worker-count variant at the same point: the window
 // in flight completes, so the surviving fire log is identical at 1, 2 and

@@ -34,7 +34,10 @@ import (
 // the earliest pending entry is the smaller of the run's head and the
 // late heap's top.
 // The late heap keeps such an insert O(log n) even when the frontier has
-// leapt far ahead of the clock, as a peek at an idle shard's queue does.
+// leapt far ahead of the clock, as an unbounded peek past an idle stretch
+// leaves it (Engine.Run stopping at until). A shard's window peek is bounded
+// by the window end (see advance), so its frontier stays within a slot of
+// the clock and what is scheduled or merged into it lands in near slots.
 //
 // Invariants:
 //   - frontier is a multiple of the near slot width; every pending entry
@@ -287,11 +290,14 @@ func nextBit(bm *[wheelSlots / 64]uint64, from int) int {
 
 // advance resets the consumed run and moves the frontier forward until an
 // entry lies below it, cascading far slots and admitting overflow at window
-// boundaries. It reports false when no entries remain anywhere. Empty
-// stretches are skipped via the occupancy bitmaps, and when both wheels are
-// empty the frontier teleports straight to the overflow heap's earliest
-// entry. The caller guarantees the run is consumed and the late heap empty.
-func (w *wheel) advance() bool {
+// boundaries. Empty stretches are skipped via the occupancy bitmaps, and
+// when both wheels are empty the frontier teleports straight to the overflow
+// heap's earliest entry. It reports false, moving the frontier no further,
+// rather than drain a near slot that starts at or after limit, move to a
+// window boundary at or after it, or teleport to an overflow entry whose
+// slot starts at or after it; so on false no live entry lies below limit.
+// The caller guarantees the run is consumed and the late heap empty.
+func (w *wheel) advance(limit Time) bool {
 	clear(w.run) // release the *Event references
 	w.run, w.next = w.run[:0], 0
 	for {
@@ -305,7 +311,11 @@ func (w *wheel) advance() bool {
 			if len(w.overflow) == 0 {
 				return false
 			}
-			w.frontier = w.overflow[0].when &^ (nearSlotWidth - 1)
+			next := w.overflow[0].when &^ (nearSlotWidth - 1)
+			if next >= limit {
+				return false
+			}
+			w.frontier = next
 			w.drainOverflow()
 			continue
 		}
@@ -324,21 +334,58 @@ func (w *wheel) advance() bool {
 		if w.nearCount > 0 {
 			if j := nextBit(&w.nearBits, i); j < wheelSlots {
 				cur += Time(j - i)
+				if cur<<nearShift >= limit {
+					return false
+				}
 				w.frontier = (cur + 1) << nearShift
 				w.drainNear(int(cur & wheelMask))
 				continue
 			}
 		}
 		// Nothing left in this window; jump to the next boundary.
-		w.frontier = ((cur | wheelMask) + 1) << nearShift
+		next := ((cur | wheelMask) + 1) << nearShift
+		if next >= limit {
+			return false
+		}
+		w.frontier = next
 	}
 }
 
+// earliest returns a lower bound on the time of the earliest live entry,
+// Forever when there is none, and moves no frontier. The bound is exact when
+// the run, the late heap or (with both wheels empty) the overflow heap holds
+// the entry. Otherwise it is the start of the first occupied near slot in
+// the frontier's 256-slot window, or else that window's end.
+func (w *wheel) earliest() Time {
+	// With a zero limit front moves no frontier: it only drops stale entries
+	// and, at a window boundary, cascades the far slot spanning the window,
+	// without which the near bitmap could miss the earliest entry.
+	if en, _, ok := w.front(0); ok {
+		return en.when
+	}
+	cur := w.frontier >> nearShift
+	if w.nearCount > 0 {
+		i := int(cur & wheelMask)
+		if j := nextBit(&w.nearBits, i); j < wheelSlots {
+			return (cur + Time(j-i)) << nearShift
+		}
+	}
+	if w.nearCount > 0 || w.farCount > 0 {
+		return ((cur | wheelMask) + 1) << nearShift
+	}
+	if len(w.overflow) > 0 {
+		return w.overflow[0].when
+	}
+	return Forever
+}
+
 // front returns the earliest live entry without removing it, dropping the
-// stale entries it passes and advancing the frontier when nothing is left
-// below it. fromLate reports whether the entry is the late heap's top
-// rather than the run's head; ok is false when the wheel is empty.
-func (w *wheel) front() (en entry, fromLate, ok bool) {
+// stale entries it passes and advancing the frontier (up to limit, see
+// advance) when nothing is left below it. fromLate reports whether the entry
+// is the late heap's top rather than the run's head; ok is false when no
+// live entry lies below the frontier once advance stops. An entry returned
+// may lie at or after limit; the caller compares.
+func (w *wheel) front(limit Time) (en entry, fromLate, ok bool) {
 	for {
 		if w.next < len(w.run) {
 			en = w.run[w.next]
@@ -357,7 +404,7 @@ func (w *wheel) front() (en entry, fromLate, ok bool) {
 			w.late.pop()
 			continue
 		}
-		if !w.advance() {
+		if !w.advance(limit) {
 			return entry{}, false, false
 		}
 	}
@@ -365,7 +412,7 @@ func (w *wheel) front() (en entry, fromLate, ok bool) {
 
 // popNext removes and returns the earliest live entry.
 func (w *wheel) popNext() (entry, bool) {
-	en, fromLate, ok := w.front()
+	en, fromLate, ok := w.front(Forever)
 	if fromLate {
 		w.late.pop()
 	} else if ok {
@@ -374,8 +421,10 @@ func (w *wheel) popNext() (entry, bool) {
 	return en, ok
 }
 
-// peekNext reports the earliest live entry's time without removing it.
-func (w *wheel) peekNext() (Time, bool) {
-	en, _, ok := w.front()
+// peekNext reports the earliest live entry's time without removing it. It
+// drains no near slot that starts at or after limit to find it, and reports
+// false when no live entry lies below limit.
+func (w *wheel) peekNext(limit Time) (Time, bool) {
+	en, _, ok := w.front(limit)
 	return en.when, ok
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -86,9 +87,63 @@ func TestWheelMatchesHeapRandomized(t *testing.T) {
 type queueDriver struct {
 	e       *Engine
 	log     []firing
+	bounds  []bound  // what each probe saw of the earliest live time
 	evs     []*Event // by id; nil once fired or canceled
 	pending []int    // ids that may still be pending
 	onFire  func()   // runs after each firing is logged, if set
+}
+
+// bound is one probe of the earliest live time: a lower bound on the wheel,
+// the exact time on the heap. exact marks a wheel probe that must be exact.
+type bound struct {
+	at    Time
+	exact bool
+}
+
+// probeEarliest records wheel.earliest, which must move no frontier and is
+// exact whenever a live entry lies below the frontier or both wheels are
+// empty. The heap core records its earliest live time.
+func (d *queueDriver) probeEarliest(t *testing.T) {
+	t.Helper()
+	if d.e.useHeap {
+		at, ok := d.e.peekNext(Forever)
+		if !ok {
+			at = Forever
+		}
+		d.bounds = append(d.bounds, bound{at, true})
+		return
+	}
+	w := &d.e.wheel
+	frontier := w.frontier
+	exact := w.nearCount == 0 && w.farCount == 0 ||
+		slices.ContainsFunc(w.run[w.next:], entry.live) || slices.ContainsFunc(w.late, entry.live)
+	d.bounds = append(d.bounds, bound{w.earliest(), exact})
+	if w.frontier != frontier {
+		t.Fatalf("earliest moved the frontier from %v to %v", frontier, w.frontier)
+	}
+}
+
+// probePeek peeks with a limit. The wheel must drain no near slot starting at
+// or after limit, so its frontier either stays or ends less than a slot past
+// limit. A live entry the peek finds is the exact earliest; finding none
+// bounds the earliest from below by limit. The heap core records its
+// earliest live time.
+func (d *queueDriver) probePeek(t *testing.T, limit Time) {
+	t.Helper()
+	w := &d.e.wheel
+	frontier := w.frontier
+	at, ok := d.e.peekNext(limit)
+	switch {
+	case d.e.useHeap && !ok:
+		d.bounds = append(d.bounds, bound{Forever, true})
+	case d.e.useHeap || ok:
+		d.bounds = append(d.bounds, bound{at, true})
+	default:
+		d.bounds = append(d.bounds, bound{limit, false})
+	}
+	if w.frontier != frontier && w.frontier-nearSlotWidth >= limit {
+		t.Fatalf("peek below %v moved the frontier from %v to %v, more than a slot past it", limit, frontier, w.frontier)
+	}
 }
 
 func (d *queueDriver) schedule(t Time) {
@@ -148,17 +203,33 @@ func sameFirings(t *testing.T, what string, wheelLog, heapLog []firing) {
 	}
 }
 
+// sameBounds fails t at the first probe where the wheel's bound lies after
+// the heap's earliest live time, or differs from it where it must be exact.
+func sameBounds(t *testing.T, what string, wheel, heap []bound) {
+	t.Helper()
+	if len(wheel) != len(heap) {
+		t.Fatalf("%s: wheel took %d probes, heap %d", what, len(wheel), len(heap))
+	}
+	for i, b := range wheel {
+		if b.at > heap[i].at || b.exact && b.at != heap[i].at {
+			t.Fatalf("%s: probe %d: wheel %+v, heap's earliest live time %v", what, i, b, heap[i].at)
+		}
+	}
+}
+
 // burstLog drives one engine through the traffic an Allreduce round gives
-// the queue and returns its fire log. Four instants of one near slot each
-// get a 256-event burst: half scheduled at time zero into the far wheel,
-// half scheduled later by a spacer directly into the near wheel, so the
-// older far entries cascade into the slot behind newer ones for the same
-// instant. Two of the instants share a 64ns sub-slot. Each firing may
-// schedule at, between and past those instants (below the frontier: before,
-// at and after the sorted run's last entry), cancel or reschedule a pending
-// event, or peek. Then the engine idles, a peek moves its frontier 5ms
-// ahead of its clock, and a second round of bursts is scheduled beneath it.
-func burstLog(core Core, seed int64) []firing {
+// the queue and returns the driver, with its fire log and probes. Four
+// instants of one near slot each get a 256-event burst: half scheduled at
+// time zero into the far wheel, half scheduled later by a spacer directly
+// into the near wheel, so the older far entries cascade into the slot behind
+// newer ones for the same instant. Two of the instants share a 64ns
+// sub-slot. Each firing may schedule at, between and past those instants
+// (below the frontier: before, at and after the sorted run's last entry),
+// cancel or reschedule a pending event, peek, or probe the earliest live time
+// with wheel.earliest or with a peek below a limit. Then the engine idles, a
+// peek moves its frontier 5ms ahead of its clock, and a second round of
+// bursts is scheduled beneath it.
+func burstLog(t *testing.T, core Core, seed int64) *queueDriver {
 	const burst = 256
 	slot := Time(3*wheelSlots+5) * nearSlotWidth // in the fourth near window
 	instants := []Time{slot + 8, slot + 40, slot + 72, slot + 3000}
@@ -180,7 +251,11 @@ func burstLog(core Core, seed int64) []firing {
 		case 5:
 			d.reschedule(rng.Int(), e.Now()+deltas[rng.Intn(len(deltas))])
 		case 6:
-			e.peekNext()
+			e.peekNext(Forever)
+		case 7:
+			d.probeEarliest(t)
+		case 8:
+			d.probePeek(t, e.Now()+deltas[rng.Intn(len(deltas))])
 		}
 	}
 	for _, at := range instants {
@@ -208,7 +283,7 @@ func burstLog(core Core, seed int64) []firing {
 		}
 	}
 	e.RunUntilIdle()
-	return d.log
+	return d
 }
 
 // TestWheelMatchesHeapBursts is the differential test for dense slots:
@@ -216,8 +291,10 @@ func burstLog(core Core, seed int64) []firing {
 // scheduled below the frontier, and a frontier far ahead of the clock.
 func TestWheelMatchesHeapBursts(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		wheelLog, heapLog := burstLog(CoreWheel, seed), burstLog(CoreHeap, seed)
-		sameFirings(t, fmt.Sprintf("seed %d", seed), wheelLog, heapLog)
+		what := fmt.Sprintf("seed %d", seed)
+		wheel, heap := burstLog(t, CoreWheel, seed), burstLog(t, CoreHeap, seed)
+		sameFirings(t, what, wheel.log, heap.log)
+		sameBounds(t, what, wheel.bounds, heap.bounds)
 	}
 }
 
@@ -243,18 +320,21 @@ func fuzzDelta(class, arg byte) Time {
 }
 
 // fuzzLog decodes ops, two bytes per operation, and applies them to one
-// engine: schedule one event, schedule a same-instant burst, cancel,
-// reschedule, peek, step, or run up to a time. It returns the fire log,
-// draining the engine at the end.
-func fuzzLog(core Core, ops []byte) []firing {
+// engine: schedule one event, probe wheel.earliest, schedule a same-instant
+// burst, cancel, reschedule, peek (without a limit for class 0, else below
+// now plus the delay), step, or run up to a time. It returns the driver,
+// with the fire log, after draining the engine.
+func fuzzLog(t *testing.T, core Core, ops []byte) *queueDriver {
 	d := &queueDriver{e: NewEngineWithCore(1, core)}
 	e := d.e
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i], ops[i+1]
 		delta := fuzzDelta(op>>3, arg)
 		switch op & 7 {
-		case 0, 1:
+		case 0:
 			d.schedule(e.Now() + delta)
+		case 1:
+			d.probeEarliest(t)
 		case 2:
 			for k := 0; k < int(arg%32)+2; k++ {
 				d.schedule(e.Now() + fuzzDelta(op>>3, arg/32))
@@ -264,7 +344,11 @@ func fuzzLog(core Core, ops []byte) []firing {
 		case 4:
 			d.reschedule(int(arg), e.Now()+delta)
 		case 5:
-			e.peekNext()
+			if op>>3 == 0 {
+				e.peekNext(Forever)
+			} else {
+				d.probePeek(t, e.Now()+delta)
+			}
 		case 6:
 			e.Step()
 		case 7:
@@ -272,7 +356,7 @@ func fuzzLog(core Core, ops []byte) []firing {
 		}
 	}
 	e.RunUntilIdle()
-	return d.log
+	return d
 }
 
 // FuzzWheelMatchesHeap: any operation sequence fires identically on the
@@ -291,11 +375,28 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	// reschedule land beneath it, then overflow and a bounded run.
 	f.Add([]byte{0x18, 200, 0x05, 0, 0x0a, 0x7f, 0x12, 0xff, 0x04, 3,
 		0x28, 9, 0x06, 0, 0x17, 100})
+	// An event in the last near slot of the first window and one just past
+	// the window, in the far wheel. The step leaves the frontier on the
+	// window boundary with the far slot not yet cascaded: earliest must
+	// cascade it, or its bound is the next boundary, past the event. Then a
+	// peek below a limit inside the slot, and one past the event.
+	f.Add([]byte{0x18, 255, 0x20, 1, 0x06, 0, 0x01, 0, 0x0d, 3, 0x01, 0,
+		0x25, 1, 0x01, 0})
+	// A canceled near entry (a bound that is not exact), a far entry and an
+	// overflow entry. A peek below 500us drains the stale slot and must stop
+	// short of the window boundary. After a step fires the far entry, a peek
+	// below a limit short of the overflow entry must not jump to it, one
+	// past it does, and a burst lands beneath the frontier it left.
+	f.Add([]byte{0x18, 10, 0x03, 0, 0x20, 2, 0x28, 1, 0x01, 0, 0x0d, 9,
+		0x1d, 122, 0x01, 0, 0x06, 0, 0x01, 0, 0x25, 3, 0x01, 0, 0x2d, 2,
+		0x01, 0, 0x1a, 0x41, 0x01, 0, 0x06, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		sameFirings(t, "ops", fuzzLog(CoreWheel, ops), fuzzLog(CoreHeap, ops))
+		wheel, heap := fuzzLog(t, CoreWheel, ops), fuzzLog(t, CoreHeap, ops)
+		sameFirings(t, "ops", wheel.log, heap.log)
+		sameBounds(t, "ops", wheel.bounds, heap.bounds)
 	})
 }
 
@@ -363,6 +464,13 @@ func TestWheelTeleport(t *testing.T) {
 	e.RunUntilIdle()
 	if !fired || e.Now() != Time(10*Minute) {
 		t.Fatalf("teleport fire: fired=%v now=%v", fired, e.Now())
+	}
+	// RunUntilIdle fires everything due at or before Forever, so the
+	// teleport reaches an entry due at Forever itself.
+	e.At(Forever, "last", func() { fired = false })
+	e.RunUntilIdle()
+	if fired || e.Now() != Forever {
+		t.Fatalf("teleport to Forever: fired=%v now=%v", !fired, e.Now())
 	}
 }
 
