@@ -48,11 +48,13 @@ bench:
 bench-record:
 	$(GO) run ./cmd/enginebench -mode record
 
-# bench-check is the CI perf guard: re-measure the guarded wheel-core rows
-# (events/s of cluster-8, node-tick-heavy and jitter-8, bytes/event of
-# cluster-8 and jitter-8) and fail if any events/s fell more than 25% or any
-# bytes/event rose more than 20% against results/bench.json. Every guard is
-# reported before it exits.
+# bench-check is the CI perf guard: re-measure the guarded rows (events/s of
+# cluster-8, node-tick-heavy and jitter-8 and bytes/event of cluster-8 and
+# jitter-8 on the wheel core, and the heap rows of cluster-8 and
+# node-tick-heavy in the same run) and fail if any wheel events/s or
+# wheel/heap events/s ratio fell more than 25% or any bytes/event rose more
+# than 20% against results/bench.json. Every guard is reported before it
+# exits.
 bench-check:
 	$(GO) run ./cmd/enginebench -mode check
 

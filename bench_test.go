@@ -173,28 +173,6 @@ func BenchmarkBaselineFairShare(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineThroughput measures raw simulator speed: events/second of
-// 128 Allreduce calls on an 8-node x 16-CPU (128-processor) vanilla cluster
-// on the default timer-wheel core, cmd/enginebench's cluster-8 workload, so
-// regressions in the core loop are visible. Fired events are
-// accumulated across all iterations and divided by the total elapsed time
-// once after the loop — dividing a single iteration's count by an average
-// iteration time would misreport whenever iterations vary.
-func BenchmarkEngineThroughput(b *testing.B) {
-	var fired uint64
-	for i := 0; i < b.N; i++ {
-		c := coschedsim.MustBuild(coschedsim.Vanilla(8, 16, int64(i+1)))
-		res, err := coschedsim.RunAggregate(c, coschedsim.AggregateSpec{
-			Loops: 1, CallsPerLoop: 128,
-		}, coschedsim.Hour)
-		if err != nil || !res.Completed {
-			b.Fatal(err)
-		}
-		fired += c.Eng.Fired()
-	}
-	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
-}
-
 // BenchmarkSweepParallel measures the wall-clock speedup of the parallel
 // experiment harness against strictly serial execution on a small fig3
 // sweep. The resulting tables are bit-identical (see the determinism

@@ -2,103 +2,124 @@ package main
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// guardedRows returns one wheel row per guarded scenario.
+// guardedRows returns every row a guard reads, all with the same values, so
+// every wheel/heap ratio is 1.
 func guardedRows(eventsPerSec, bytesPerEvent float64) []row {
 	var rows []row
-	seen := map[string]bool{}
-	for _, g := range guards {
-		if !seen[g.scenario] {
-			seen[g.scenario] = true
-			rows = append(rows, row{Scenario: g.scenario, Core: "wheel", Workers: 1,
-				EventsPerSec: eventsPerSec, BytesPerEvent: bytesPerEvent})
+	for _, s := range scenarios() {
+		for _, core := range []string{"heap", "wheel"} {
+			if slices.ContainsFunc(guards, func(g guard) bool { return g.reads(s.name, core) }) {
+				rows = append(rows, row{Scenario: s.name, Core: core, Workers: 1,
+					EventsPerSec: eventsPerSec, BytesPerEvent: bytesPerEvent})
+			}
 		}
 	}
 	return rows
 }
 
-// edit applies fn to the scenario's rows and returns them.
-func edit(rows []row, scenario string, fn func(*row)) []row {
+// edit applies fn to the scenario's row on core, or to all of its rows when
+// core is empty, and returns rows.
+func edit(rows []row, scenario, core string, fn func(*row)) []row {
 	for i := range rows {
-		if rows[i].Scenario == scenario {
+		if rows[i].Scenario == scenario && (core == "" || rows[i].Core == core) {
 			fn(&rows[i])
 		}
 	}
 	return rows
 }
 
+// checkFails runs check and fails t unless exactly the guards in fail
+// failed, each with a verdict that says FAIL when failMsg is set.
+func checkFails(t *testing.T, recorded, fresh []row, fail []guard, failMsg bool) {
+	t.Helper()
+	vs := check(recorded, fresh)
+	if len(vs) != len(guards) {
+		t.Fatalf("got %d verdicts, want one per guard (%d)", len(vs), len(guards))
+	}
+	for _, v := range vs {
+		wantFail := slices.Contains(fail, v.guard)
+		switch {
+		case wantFail && (v.ok || failMsg && !strings.Contains(v.String(), "FAIL")):
+			t.Errorf("got %q (ok=%v), want a failure", v, v.ok)
+		case !wantFail && !v.ok:
+			t.Errorf("unrelated guard failed: %v", v)
+		}
+	}
+}
+
 func TestCheckBounds(t *testing.T) {
+	events, bytes := guard{"cluster-8", eventsPerSec}, guard{"cluster-8", bytesPerEvent}
+	ratio := guard{"cluster-8", wheelOverHeap}
 	for _, tc := range []struct {
 		name   string
+		core   string // the cluster-8 row scaled, or "" for both
 		metric string
 		factor float64 // fresh value as a multiple of the recorded one
-		ok     bool
+		fail   []guard
 	}{
-		{"events within bound", eventsPerSec, 0.80, true},
-		{"events at bound", eventsPerSec, 0.75, true},
-		{"events past bound", eventsPerSec, 0.70, false},
-		{"events improved", eventsPerSec, 1.50, true},
-		{"bytes within bound", bytesPerEvent, 1.15, true},
-		{"bytes past bound", bytesPerEvent, 1.30, false},
-		{"bytes improved", bytesPerEvent, 0.50, true},
+		{"events within bound", "wheel", eventsPerSec, 0.80, nil},
+		{"events at bound", "wheel", eventsPerSec, 0.75, nil},
+		{"events past bound", "wheel", eventsPerSec, 0.70, []guard{events, ratio}},
+		{"events improved", "wheel", eventsPerSec, 1.50, nil},
+		{"bytes within bound", "wheel", bytesPerEvent, 1.15, nil},
+		{"bytes past bound", "wheel", bytesPerEvent, 1.30, []guard{bytes}},
+		{"bytes improved", "wheel", bytesPerEvent, 0.50, nil},
+		// A slower host slows both cores: the ratio holds.
+		{"host drift", "", eventsPerSec, 0.70, []guard{events}},
+		// The heap core speeding up alone lowers the ratio.
+		{"ratio within bound", "heap", eventsPerSec, 1.25, nil},
+		{"ratio past bound", "heap", eventsPerSec, 1.40, []guard{ratio}},
+		{"ratio improved", "heap", eventsPerSec, 0.50, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fresh := edit(guardedRows(1e6, 10), "cluster-8", func(r *row) {
+			fresh := edit(guardedRows(1e6, 10), "cluster-8", tc.core, func(r *row) {
 				if tc.metric == bytesPerEvent {
 					r.BytesPerEvent *= tc.factor
 				} else {
 					r.EventsPerSec *= tc.factor
 				}
 			})
-			vs := check(guardedRows(1e6, 10), fresh)
-			if len(vs) != len(guards) {
-				t.Fatalf("got %d verdicts, want one per guard (%d)", len(vs), len(guards))
-			}
-			for _, v := range vs {
-				want := true
-				if v.scenario == "cluster-8" && v.metric == tc.metric {
-					want = tc.ok
-				}
-				if v.ok != want {
-					t.Errorf("%v: ok=%v, want %v", v, v.ok, want)
-				}
-			}
+			checkFails(t, guardedRows(1e6, 10), fresh, tc.fail, false)
 		})
 	}
 }
 
 func TestCheckFailsMissingOrNonPositiveRows(t *testing.T) {
+	rename := func(r *row) { r.Scenario = "renamed" }
 	for _, tc := range []struct {
-		name     string
-		g        guard
-		recorded bool // edit the recorded rows, else the fresh ones
-		fn       func(*row)
+		name           string
+		scenario, core string
+		recorded       bool // edit the recorded rows, else the fresh ones
+		fn             func(*row)
+		fail           []string // metrics of the scenario whose guards must fail
 	}{
-		{"recorded row missing", guard{"node-tick-heavy", eventsPerSec}, true, func(r *row) { r.Scenario = "renamed" }},
-		{"recorded row on another core", guard{"node-tick-heavy", eventsPerSec}, true, func(r *row) { r.Core = "heap" }},
-		{"recorded events/s zero", guard{"cluster-8", eventsPerSec}, true, func(r *row) { r.EventsPerSec = 0 }},
-		{"recorded events/s negative", guard{"cluster-8", eventsPerSec}, true, func(r *row) { r.EventsPerSec = -1 }},
-		{"recorded bytes/event zero", guard{"jitter-8", bytesPerEvent}, true, func(r *row) { r.BytesPerEvent = 0 }},
-		{"fresh measurement failed", guard{"jitter-8", eventsPerSec}, false, func(r *row) { r.EventsPerSec = 0 }},
+		{"recorded row missing", "node-tick-heavy", "wheel", true, rename, []string{eventsPerSec, wheelOverHeap}},
+		{"recorded row on another core", "node-tick-heavy", "wheel", true, func(r *row) { r.Core = "heap" }, []string{eventsPerSec, wheelOverHeap}},
+		{"recorded events/s zero", "cluster-8", "wheel", true, func(r *row) { r.EventsPerSec = 0 }, []string{eventsPerSec, wheelOverHeap}},
+		{"recorded events/s negative", "cluster-8", "", true, func(r *row) { r.EventsPerSec = -1 }, []string{eventsPerSec, wheelOverHeap}},
+		{"recorded bytes/event zero", "jitter-8", "wheel", true, func(r *row) { r.BytesPerEvent = 0 }, []string{bytesPerEvent}},
+		{"fresh measurement failed", "jitter-8", "wheel", false, func(r *row) { r.EventsPerSec = 0 }, []string{eventsPerSec}},
+		{"recorded heap row missing", "cluster-8", "heap", true, rename, []string{wheelOverHeap}},
+		{"fresh heap row missing", "node-tick-heavy", "heap", false, rename, []string{wheelOverHeap}},
+		{"fresh heap measurement failed", "cluster-8", "heap", false, func(r *row) { r.EventsPerSec = 0 }, []string{wheelOverHeap}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec, fresh := guardedRows(1e6, 10), guardedRows(1e6, 10)
 			if tc.recorded {
-				edit(rec, tc.g.scenario, tc.fn)
+				edit(rec, tc.scenario, tc.core, tc.fn)
 			} else {
-				edit(fresh, tc.g.scenario, tc.fn)
+				edit(fresh, tc.scenario, tc.core, tc.fn)
 			}
-			for _, v := range check(rec, fresh) {
-				switch {
-				case v.guard == tc.g && (v.ok || !strings.Contains(v.String(), "FAIL")):
-					t.Errorf("got %q (ok=%v), want a failure", v, v.ok)
-				case v.guard != tc.g && !v.ok:
-					t.Errorf("unrelated guard failed: %v", v)
-				}
+			var fail []guard
+			for _, m := range tc.fail {
+				fail = append(fail, guard{tc.scenario, m})
 			}
+			checkFails(t, rec, fresh, fail, true)
 		})
 	}
 }

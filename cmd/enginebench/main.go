@@ -8,13 +8,13 @@
 // Record mode measures every scenario at every point it lists (an engine
 // core at an intra-run worker count) and writes one row per point, under a
 // header that names the machine. Check mode is the CI perf guard: it
-// re-measures the guarded wheel-core rows, compares them with the file, and
-// fails after reporting every guard if any fell outside its bound.
+// re-measures the guarded rows, compares them with the file, and fails after
+// reporting every guard if any fell outside its bound.
 //
 // Every row is measured the same way: testing.Benchmark with ReportAllocs,
 // best of -reps, with time, bytes and allocations all divided by the events
-// the body counted. Ratios between rows (heap/wheel, sharded/serial) are
-// left to the reader.
+// the body counted. The guard compares two wheel/heap ratios; other ratios
+// between rows (sharded/serial) are left to the reader.
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,13 +83,15 @@ const (
 	bytesTolerance  = 0.20
 )
 
-// The guarded metrics, named as in the JSON.
+// The guarded metrics: two fields of the wheel-core row, named as in the
+// JSON, and the wheel row's events/s over the heap row's.
 const (
 	eventsPerSec  = "events_per_s"
 	bytesPerEvent = "bytes_per_event"
+	wheelOverHeap = "wheel/heap events_per_s"
 )
 
-// guard is one metric of one wheel-core row that check mode re-measures.
+// guard is one metric of one scenario that check mode re-measures.
 type guard struct {
 	scenario string
 	metric   string
@@ -96,28 +99,46 @@ type guard struct {
 
 // guards are the rows and metrics bench-check holds the engine to: the
 // full-cluster Allreduce workload, the tick-heavy node and the jittered
-// fabric for throughput, and the two cluster workloads for allocation.
+// fabric for throughput, and the two cluster workloads for allocation. The
+// wheel/heap ratios are measured in one run, so a host that slows down
+// moves both of their rows together, while the absolute guards also catch a
+// slowdown in code both cores share (kernel, MPI).
 var guards = []guard{
 	{"cluster-8", eventsPerSec},
 	{"node-tick-heavy", eventsPerSec},
 	{"jitter-8", eventsPerSec},
 	{"cluster-8", bytesPerEvent},
 	{"jitter-8", bytesPerEvent},
+	{"cluster-8", wheelOverHeap},
+	{"node-tick-heavy", wheelOverHeap},
 }
 
-// value is the guarded metric of the scenario's wheel-core row, or 0 when
-// rows have none.
+// value is the guarded metric in rows, or 0 when rows lack a row it reads
+// or a ratio's events/s is not positive.
 func (g guard) value(rows []row) float64 {
+	var wheel, heap row
 	for _, r := range rows {
-		if r.Scenario != g.scenario || r.Core != "wheel" {
-			continue
+		if r.Scenario == g.scenario && r.Core == "wheel" {
+			wheel = r
 		}
-		if g.metric == bytesPerEvent {
-			return r.BytesPerEvent
+		if r.Scenario == g.scenario && r.Core == "heap" {
+			heap = r
 		}
-		return r.EventsPerSec
 	}
-	return 0
+	switch {
+	case g.metric == bytesPerEvent:
+		return wheel.BytesPerEvent
+	case g.metric == eventsPerSec:
+		return wheel.EventsPerSec
+	case wheel.EventsPerSec <= 0 || heap.EventsPerSec <= 0:
+		return 0
+	}
+	return wheel.EventsPerSec / heap.EventsPerSec
+}
+
+// reads reports whether the guard reads the scenario's row on core.
+func (g guard) reads(scenario, core string) bool {
+	return g.scenario == scenario && (core == "wheel" || core == "heap" && g.metric == wheelOverHeap)
 }
 
 // verdict is one guard's outcome.
@@ -128,7 +149,11 @@ type verdict struct {
 }
 
 func (v verdict) String() string {
-	head := fmt.Sprintf("%-16s wheel %-15s", v.scenario, v.metric)
+	what := v.metric
+	if v.metric != wheelOverHeap {
+		what = "wheel " + v.metric
+	}
+	head := fmt.Sprintf("%-16s %-23s", v.scenario, what)
 	switch {
 	case v.recorded <= 0:
 		return head + " FAIL: the results file has no positive value; record one with `make bench-record`"
@@ -276,8 +301,9 @@ func load(path string) (results, error) {
 	return f, nil
 }
 
-// runCheck is the guard: it re-measures every guarded scenario on the wheel
-// core, prints every verdict, and only then reports whether any failed.
+// runCheck is the guard: it re-measures every row a guard reads, a
+// scenario's rows back to back, prints every verdict, and only then reports
+// whether any failed.
 func runCheck(path string, reps int) (passed bool, err error) {
 	rec, err := load(path)
 	if err != nil {
@@ -286,10 +312,9 @@ func runCheck(path string, reps int) (passed bool, err error) {
 	fmt.Fprintf(os.Stderr, "recorded on: %s\nchecking on: %s\n", rec.Machine, currentMachine())
 	var fresh []row
 	for _, s := range scenarios() {
-		for _, g := range guards {
-			if g.scenario == s.name {
-				fresh = append(fresh, measure(s, point{"wheel", 1}, reps))
-				break
+		for _, p := range s.points {
+			if slices.ContainsFunc(guards, func(g guard) bool { return g.reads(s.name, p.core) }) {
+				fresh = append(fresh, measure(s, p, reps))
 			}
 		}
 	}

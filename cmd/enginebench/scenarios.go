@@ -47,8 +47,7 @@ func scenarios() []scenario {
 		{
 			name: "cluster-8",
 			detail: "128 Allreduce calls on an 8-node x 16-CPU vanilla cluster with its " +
-				"noise and co-scheduling machinery, built and run per iteration " +
-				"(BenchmarkEngineThroughput's workload)",
+				"noise and co-scheduling machinery, built and run per iteration",
 			cluster: true,
 			points:  []point{{"heap", 1}, {"wheel", 1}, {"sharded", 2}, {"sharded", 4}},
 			run:     clusterBody(8, 128, 0, false),
@@ -87,7 +86,7 @@ func scenarios() []scenario {
 		{
 			name: "node-tick-heavy",
 			detail: "2 simulated seconds of one 16-CPU node: 24 preempting CPU hogs, 16 " +
-				"sleep/wake cyclers, 10ms ticks, usage-decay sweep (BenchmarkNodeTickHeavy)",
+				"sleep/wake cyclers, 10ms ticks, usage-decay sweep",
 			points: serial,
 			run:    nodeTickHeavy,
 		},
@@ -100,22 +99,22 @@ func scenarios() []scenario {
 		{
 			name: "churn-1k",
 			detail: "schedule, reschedule and cancel one event per iteration over 1,024 " +
-				"standing events, stepping every 8th (BenchmarkWheelVsHeapChurn's loop); " +
-				"its events are canceled, not fired, so it counts events scheduled",
+				"standing events, stepping every 8th; its events are canceled, not " +
+				"fired, so it counts events scheduled",
 			points: serial,
 			run:    churn1k,
 		},
 		{
 			name: "mpi-allreduce-steady",
 			detail: "back-to-back recursive-doubling Allreduces on 16 ranks over 4 quiet " +
-				"nodes, construction untimed (BenchmarkMPIAllreduceSteadyAllocs)",
+				"nodes, construction untimed",
 			points: wheelOnly,
 			run:    mpiAllreduceSteady,
 		},
 		{
 			name: "sharded-window-loop",
 			detail: "4 shards, each a self-rescheduling chain with a cross-shard send every " +
-				"4th firing, run for b.N window lengths (BenchmarkShardedWindowAllocs)",
+				"4th firing, run for b.N window lengths",
 			points: []point{{"sharded", 2}},
 			run:    shardedWindowLoop,
 		},
@@ -175,7 +174,11 @@ func runCluster(c *coschedsim.Cluster, calls int, ale3d bool) error {
 	return err
 }
 
-// nodeTickHeavy is BenchmarkNodeTickHeavy's loop (internal/kernel).
+// nodeTickHeavy stresses the per-node periodic machinery that dominates long
+// simulations: every tick on a busy CPU reschedules the running thread's
+// burst-end event, the one-tick timeslice round-robins the equal-priority
+// hogs, and the cyclers sleep under one tick, so every wakeup lands on the
+// quantized timer grid.
 func nodeTickHeavy(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	var fired uint64
 	for i := 0; i < b.N; i++ {
@@ -213,23 +216,24 @@ func scheduleFire(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	e := sim.NewEngine(1)
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
-		e.After(sim.Time(i%97)+1, "bench", fn)
+		e.After(sim.Time(i%97)+1, fn)
 		e.Step()
 	}
 	return e.Fired(), nil
 }
 
-// churn1k is BenchmarkWheelVsHeapChurn's loop (internal/sim).
+// churn1k is the engine's churn pattern over a standing population of
+// far-future events: schedule, reschedule nearer, cancel.
 func churn1k(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	e := sim.NewEngine(1)
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
-		e.After(sim.Time(i+1)*sim.Millisecond, "standing", fn)
+		e.After(sim.Time(i+1)*sim.Millisecond, fn)
 	}
 	standing := e.Scheduled()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := e.After(sim.Time(500+i%1000), "churn", fn)
+		ev := e.After(sim.Time(500+i%1000), fn)
 		e.Reschedule(ev, e.Now()+sim.Time(200+i%100))
 		e.Cancel(ev)
 		if i%8 == 0 && e.Pending() > 0 {
@@ -239,10 +243,10 @@ func churn1k(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	return e.Scheduled() - standing, nil
 }
 
-// mpiAllreduceSteady is BenchmarkMPIAllreduceSteadyAllocs's loop
-// (internal/mpi): construction happens before the timer reset, so the row
-// is the steady-state cost of matching, collective state, delivery records
-// and event scheduling, with zero allocations as the target.
+// mpiAllreduceSteady times back-to-back Allreduces with construction before
+// the timer reset, so the row is the steady-state cost of matching,
+// collective state, delivery records and event scheduling, with zero
+// allocations as the target.
 func mpiAllreduceSteady(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	const size, ncpu = 16, 4
 	eng := sim.NewEngine(1)
@@ -281,9 +285,9 @@ func mpiAllreduceSteady(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	return eng.Fired(), nil
 }
 
-// shardedWindowLoop is BenchmarkShardedWindowAllocs's loop (internal/sim):
-// the steady-state cost of window dispatch, outbox staging and the
-// canonical merge.
+// shardedWindowLoop is the steady-state cost of window dispatch, outbox
+// staging and the canonical merge, which all reuse their storage, so its
+// allocations per event stay flat as b.N grows.
 func shardedWindowLoop(b *testing.B, workers int) (uint64, *sim.GroupStats) {
 	const shards = 4
 	lookahead := 24 * sim.Microsecond
@@ -291,14 +295,16 @@ func shardedWindowLoop(b *testing.B, workers int) (uint64, *sim.GroupStats) {
 	for i := 0; i < shards; i++ {
 		e := g.Shard(i)
 		n := 0
-		e.Recur(sim.Time(i+1)*sim.Microsecond, "chain", func() sim.Time {
+		var chain func()
+		chain = func() {
 			n++
 			if n%4 == 0 {
 				dst := g.Shard((i + 1) % shards)
-				e.ScheduleOn(dst, e.Now()+lookahead, "cross", func() {})
+				e.ScheduleOn(dst, e.Now()+lookahead, func() {})
 			}
-			return e.Now() + 10*sim.Microsecond
-		})
+			e.At(e.Now()+10*sim.Microsecond, chain)
+		}
+		e.At(sim.Time(i+1)*sim.Microsecond, chain)
 	}
 	b.ResetTimer()
 	g.Run(sim.Time(b.N) * lookahead)

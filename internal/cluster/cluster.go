@@ -358,7 +358,7 @@ func (c *Cluster) armFaults() {
 				continue
 			}
 			set, d := c.Noise[i], d
-			eng.At(at, "fault-stall", func() {
+			eng.At(at, func() {
 				if th := set.DaemonThread(d); th != nil && th.State() != kernel.StateExited {
 					th.Kill()
 				}
@@ -369,7 +369,7 @@ func (c *Cluster) armFaults() {
 			continue
 		}
 		node, set, idx := n, c.Noise[i], i
-		eng.At(crash, "fault-crash", func() {
+		eng.At(crash, func() {
 			// The node dies whole: its ranks are lost, its noise and
 			// co-scheduler daemon stop, its supervisor gives up.
 			c.Job.FailRanksOn(node, true)
@@ -390,12 +390,12 @@ func (c *Cluster) armFaults() {
 			}
 			seng, sn := sn.Engine(), sn
 			if fc.Policy == fault.PolicyReplan && c.Sched != nil {
-				seng.At(detect, "fault-replan", func() { c.Sched.Replan(sn) })
-				seng.At(detect+fc.ReplanDrain, "fault-abort", func() {
+				seng.At(detect, func() { c.Sched.Replan(sn) })
+				seng.At(detect+fc.ReplanDrain, func() {
 					c.Job.FailRanksOn(sn, false)
 				})
 			} else {
-				seng.At(detect, "fault-abort", func() {
+				seng.At(detect, func() {
 					c.Job.FailRanksOn(sn, false)
 				})
 			}

@@ -26,8 +26,8 @@ func TestClockStepMidRun(t *testing.T) {
 	s.RegisterProcess(n, 1000, []*kernel.Thread{task})
 
 	// Step the clock forward 2.7s at t=12s and backward 1.3s at t=30s.
-	eng.At(12*sim.Second, "step+", func() { clock.Step(2700 * sim.Millisecond) })
-	eng.At(30*sim.Second, "step-", func() { clock.Step(-1300 * sim.Millisecond) })
+	eng.At(12*sim.Second, func() { clock.Step(2700 * sim.Millisecond) })
+	eng.At(30*sim.Second, func() { clock.Step(-1300 * sim.Millisecond) })
 	eng.Run(60 * sim.Second)
 
 	trans := s.Transitions()
@@ -69,7 +69,7 @@ func TestManyProcessChurn(t *testing.T) {
 		s.RegisterProcess(n, 2000+i, []*kernel.Thread{th})
 	}
 	// Unregister half at 8s (mid favored window).
-	eng.At(8*sim.Second, "churn", func() {
+	eng.At(8*sim.Second, func() {
 		for i := 0; i < 6; i++ {
 			s.UnregisterProcess(n, 2000+i)
 			threads[i].Wakeup() // let them exit

@@ -251,7 +251,7 @@ func (inj *Injector) LaunchStraggler(n *kernel.Node, i int) {
 	}
 	cfg := inj.cfg
 	eng := n.Engine()
-	eng.At(at, "fault-straggler", func() {
+	eng.At(at, func() {
 		th := n.NewDaemon("straggler", stragglerPrio, 0)
 		end := eng.Now() + cfg.StragglerDuration
 		busy := sim.Time(cfg.StragglerDuty * float64(stragglerQuantum))

@@ -109,7 +109,7 @@ func TestMigrationCounted(t *testing.T) {
 
 	// A competing hog that grabs whatever CPU the mover vacates.
 	hog1 := n.NewThread("hog1", 40, 1)
-	eng.At(5*sim.Millisecond, "h1", func() {
+	eng.At(5*sim.Millisecond, func() {
 		hog1.Start(func() { hog1.Run(15*sim.Millisecond, hog1.Exit) })
 	})
 	eng.Run(sim.Second)

@@ -51,13 +51,13 @@ func (n *Node) chargeUsage(t *Thread, work sim.Time) {
 
 // startUsageSweep arms the once-per-second recalculation (AIX's swapper):
 // halve every thread's recent CPU, recompute effective priorities, and fix
-// up queue positions. The sweep is one recurring engine event re-armed in
-// place.
+// up queue positions. The sweep re-arms itself with After.
 func (n *Node) startUsageSweep() {
 	if !n.opts.UsageDecay {
 		return
 	}
-	sweep := func() {
+	var sweep func()
+	sweep = func() {
 		for _, t := range n.threads {
 			if t.fixedPrio || t.state == StateExited {
 				continue
@@ -82,9 +82,7 @@ func (n *Node) startUsageSweep() {
 			}
 		}
 		n.reconcile()
+		n.eng.After(usageSweepPeriod, sweep)
 	}
-	n.eng.Recur(n.eng.Now()+usageSweepPeriod, "usage-sweep", func() sim.Time {
-		sweep()
-		return n.eng.Now() + usageSweepPeriod
-	})
+	n.eng.After(usageSweepPeriod, sweep)
 }

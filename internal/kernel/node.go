@@ -164,7 +164,6 @@ func (n *Node) NewThread(name string, prio Priority, homeCPU int) *Thread {
 		queueIdx: -1,
 	}
 	t.finishFn = func() { n.finishSegment(t) }
-	t.wakeLabel = name + ".wake"
 	t.wakeFn = func() {
 		t.wakeEv = nil
 		t.burstLeft = 0
@@ -191,8 +190,9 @@ func (n *Node) NewDaemon(name string, prio Priority, preferredCPU int) *Thread {
 
 // Start begins the node's periodic tick interrupts. Call once, after the
 // simulation engine exists but before (or at) the start of the measured run.
-// Each CPU's tick is a single recurring engine event re-armed in place (no
-// per-firing allocation) rather than a schedule-fire-reschedule chain.
+// Each CPU's tick is a closure bound once here that re-arms itself with At
+// on the CPU's tick grid; the engine recycles the fired record before the
+// closure runs, so the re-arm allocates nothing.
 func (n *Node) Start() {
 	if n.started {
 		panic("kernel: node started twice")
@@ -200,18 +200,19 @@ func (n *Node) Start() {
 	n.started = true
 	for _, c := range n.cpus {
 		c := c
-		first := c.nextTickAtOrAfter(n.eng.Now())
-		n.eng.Recur(first, "tick", func() sim.Time {
+		var fire func()
+		fire = func() {
 			n.tick(c)
-			return c.nextTickAtOrAfter(n.eng.Now() + 1)
-		})
+			n.eng.At(c.nextTickAtOrAfter(n.eng.Now()+1), fire)
+		}
+		n.eng.At(c.nextTickAtOrAfter(n.eng.Now()), fire)
 	}
 	n.startUsageSweep()
 }
 
 // tick is one timer-decrement interrupt on one CPU: it charges the handler
-// cost and serves as the lazy-preemption notice point. The recurring event
-// armed in Start re-schedules it on the CPU's tick grid.
+// cost and serves as the lazy-preemption notice point. The closure armed in
+// Start re-arms it on the CPU's tick grid.
 func (n *Node) tick(c *CPU) {
 	c.ticksTaken++
 	n.stealCPU(c, n.opts.TickCost, &n.acct.tickSteal)
@@ -391,7 +392,7 @@ func (n *Node) dispatch(c *CPU, t *Thread) {
 	}
 	work := t.burstLeft
 	t.burstLeft = 0
-	t.burstEnd = n.eng.After(overhead+work, t.name, t.finishFn)
+	t.burstEnd = n.eng.After(overhead+work, t.finishFn)
 	n.trace(EvDispatch, t, int64(c.idx))
 }
 
@@ -403,7 +404,7 @@ func (t *Thread) beginBurst(d sim.Time) {
 	c := t.cpu
 	c.busySince = n.eng.Now()
 	c.stolenMark = c.stolen
-	t.burstEnd = n.eng.After(d, t.name, t.finishFn)
+	t.burstEnd = n.eng.After(d, t.finishFn)
 }
 
 // closeSegment accrues occupancy and productive time for the segment that
@@ -549,7 +550,7 @@ func (n *Node) scheduleIPI(c *CPU) {
 	}
 	c.pendingIPI = true
 	n.ipiInFlight++
-	n.eng.After(n.opts.IPILatency, "ipi", func() {
+	n.eng.After(n.opts.IPILatency, func() {
 		c.pendingIPI = false
 		n.ipiInFlight--
 		n.acct.ipis++

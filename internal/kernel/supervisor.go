@@ -32,22 +32,22 @@ type watch struct {
 
 // NewSupervisor starts a supervisor on n scanning every checkPeriod and
 // respawning dead watched threads restartDelay after the scan that notices
-// them. Stop only sets a flag; the recurring scan retires itself at its next
-// firing (Recur events re-arm in place, so canceling one from outside is not
-// safe).
+// them. Stop only sets a flag; the scan retires itself at its next firing.
 func NewSupervisor(n *Node, checkPeriod, restartDelay sim.Time) *Supervisor {
 	if checkPeriod <= 0 || restartDelay <= 0 {
 		panic("kernel: Supervisor needs positive checkPeriod and restartDelay")
 	}
 	s := &Supervisor{node: n, restartDelay: restartDelay}
 	eng := n.eng
-	eng.Recur(eng.Now()+checkPeriod, "supervisor", func() sim.Time {
+	var scan func()
+	scan = func() {
 		if s.stopped {
-			return sim.RecurStop
+			return
 		}
 		s.scan()
-		return eng.Now() + checkPeriod
-	})
+		eng.After(checkPeriod, scan)
+	}
+	eng.After(checkPeriod, scan)
 	return s
 }
 
@@ -70,7 +70,7 @@ func (s *Supervisor) scan() {
 		w.pending = true
 		w := w
 		died := w.th.exitedAt
-		eng.After(s.restartDelay, "supervisor-respawn", func() {
+		eng.After(s.restartDelay, func() {
 			if s.stopped {
 				return
 			}

@@ -85,11 +85,10 @@ type Thread struct {
 	wakeEv *sim.Event // pending sleep timer
 
 	// finishFn and wakeFn are bound once at creation so the dispatch and
-	// sleep hot paths schedule events without allocating a closure (or a
-	// label) per burst/sleep.
-	finishFn  func()
-	wakeFn    func()
-	wakeLabel string
+	// sleep hot paths schedule events without allocating a closure per
+	// burst/sleep.
+	finishFn func()
+	wakeFn   func()
 
 	// run queue bookkeeping (managed by runQueue)
 	queue    *runQueue
@@ -222,7 +221,7 @@ func (t *Thread) SleepUntil(when sim.Time, then func()) {
 	t.state = StateSleeping
 	n.trace(EvSleep, t, int64(wake)) // trace before release so the CPU is known
 	n.releaseCPU(t)
-	t.wakeEv = n.eng.At(wake, t.wakeLabel, t.wakeFn)
+	t.wakeEv = n.eng.At(wake, t.wakeFn)
 }
 
 // Block releases the CPU until another component calls Wakeup. then runs

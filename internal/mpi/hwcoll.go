@@ -38,7 +38,7 @@ func (j *Job) hwContribute(tag int, v float64) {
 	result := op.sum
 	lat := j.cfg.HWCollectiveLatency
 	key := msgKey{src: hwSource, tag: tag}
-	j.eng.After(lat, "hwcoll", func() {
+	j.eng.After(lat, func() {
 		for i := range j.ranks {
 			j.ranks[i].deliver(key, message{value: result, bytes: j.cfg.ElemBytes})
 		}

@@ -445,7 +445,7 @@ func (j *Job) abortFrom(src *sim.Engine) {
 	when := src.Now() + j.faults.DetectLatency()
 	for i := range j.ranks {
 		r := &j.ranks[i]
-		src.ScheduleOn(r.node.Engine(), when, "mpi-abort", r.failAbort)
+		src.ScheduleOn(r.node.Engine(), when, r.failAbort)
 	}
 }
 

@@ -167,7 +167,7 @@ func (r *Rank) trySend(target *Rank, bytes int, idx uint64, deliver func()) {
 			return
 		}
 		attempt++
-		eng.After(j.cfg.SendTimeout<<(attempt-1), "mpi-retransmit", attemptFn)
+		eng.After(j.cfg.SendTimeout<<(attempt-1), attemptFn)
 	}
 	attemptFn()
 }

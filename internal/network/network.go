@@ -238,7 +238,7 @@ func (f *Fabric) Send(srcNode, dstNode, size int, deliver func()) {
 	if f.cfg.Jitter > 0 && srcNode != dstNode {
 		f.bumpPair(srcNode, dstNode)
 	}
-	src.ScheduleOn(dst, when, "msg", deliver)
+	src.ScheduleOn(dst, when, deliver)
 }
 
 // Drop records a message lost to an injected fault before it could be sent.

@@ -151,7 +151,7 @@ func TestSwitchClockGlobal(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c1 := NewSwitchClock(eng)
 	c2 := NewSwitchClock(eng)
-	eng.At(5*sim.Second, "x", func() {
+	eng.At(5*sim.Second, func() {
 		if c1.Now() != c2.Now() || c1.Now() != 5*sim.Second {
 			t.Errorf("switch clocks disagree: %v vs %v", c1.Now(), c2.Now())
 		}

@@ -269,9 +269,9 @@ func (s *Set) launchCron(spec CronSpec) {
 	th.Start(func() { th.Sleep(phase, cycle) })
 }
 
-// launchInterrupts drives one adapter interrupt stream as a single
-// recurring engine event re-armed in place. Each arrival draws its gap, then
-// its target CPU, from the source's own counter stream keyed by (node,
+// launchInterrupts drives one adapter interrupt stream as a closure that
+// re-arms itself with After. Each arrival draws its target CPU, then the gap
+// to the next arrival, from the source's own counter stream keyed by (node,
 // source index).
 func (s *Set) launchInterrupts(spec InterruptSpec, idx int) {
 	eng := s.node.Engine()
@@ -283,13 +283,15 @@ func (s *Set) launchInterrupts(spec InterruptSpec, idx int) {
 		}
 		return sim.Microsecond
 	}
-	eng.Recur(eng.Now()+nextGap(), spec.Name, func() sim.Time {
+	var arrive func()
+	arrive = func() {
 		if s.stopped {
-			return sim.RecurStop
+			return
 		}
 		s.node.InjectInterrupt(rng.Intn(s.node.NumCPUs()), spec.HandlerCost)
-		return eng.Now() + nextGap()
-	})
+		eng.After(nextGap(), arrive)
+	}
+	eng.After(nextGap(), arrive)
 }
 
 // Stop halts all noise immediately: daemon threads are killed in whatever

@@ -5,9 +5,11 @@ import (
 	"time"
 )
 
-// Event is a scheduled callback. Events are created through Engine.At,
-// Engine.After or Engine.Recur and may be canceled before they fire. The
-// zero Event is not usable.
+// Event is a scheduled callback. Events are created through Engine.At or
+// Engine.After and may be canceled before they fire. Periodic work is a
+// callback that schedules its next firing with At: Step recycles a fired
+// record before it runs the callback, so the re-arm reuses the record and
+// allocates nothing. The zero Event is not usable.
 //
 // Ownership discipline: the engine recycles Event records aggressively —
 // a fired event's *Event may be reused by the next schedule, and Cancel
@@ -15,8 +17,7 @@ import (
 // re-Cancel an event pointer after its callback has run or after you
 // canceled it. Canceling a pending event you scheduled is always safe.
 type Event struct {
-	fn    func()
-	recur func() Time
+	fn func()
 
 	// gen is the event's lease generation. Queue entries are stamped with
 	// the generation current when they were inserted; cancellation and
@@ -26,7 +27,6 @@ type Event struct {
 	pending  bool // scheduled and not yet fired or canceled
 	canceled bool
 	when     Time
-	label    string // optional, for debugging
 }
 
 // When reports the time the event is scheduled to fire.
@@ -34,12 +34,6 @@ func (e *Event) When() Time { return e.when }
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
-
-// Label returns the debug label given at scheduling time (may be empty).
-func (e *Event) Label() string { return e.label }
-
-// RecurStop is returned by a recurring event's callback to end the series.
-const RecurStop Time = -1
 
 // entry is one queue cell: comparisons touch only this contiguous struct,
 // never the *Event, which keeps the hot ordering loops cache-friendly. An
@@ -191,10 +185,10 @@ const eventPoolCap = 4096
 //
 // The ordering contract is the same on every Core: events fire in order of
 // (time due, time scheduled, order scheduled). On one engine the order
-// scheduled is the order of the At, After, Recur and Reschedule calls and
-// Recur re-arms. A ShardGroup keeps the contract across shards by ordering
-// each cross-shard delivery as scheduled at its send time, so it fires
-// among the destination's own events where a serial engine fires it. One
+// scheduled is the order of the At, After and Reschedule calls. A
+// ShardGroup keeps the contract across shards by ordering each cross-shard
+// delivery as scheduled at its send time, so it fires among the
+// destination's own events where a serial engine fires it. One
 // tie stays open: events that two shards schedule at the same instant, due
 // at the same instant. A serial engine orders them by global execution
 // order, which a shard cannot see; a shard fires its own events first, then
@@ -256,8 +250,7 @@ func (e *Engine) Pending() int { return e.live }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Scheduled reports how many events have ever been scheduled (recurring
-// events count once per arming).
+// Scheduled reports how many events have ever been scheduled.
 func (e *Engine) Scheduled() uint64 { return e.scheduled }
 
 // CounterRand returns the counter-based random stream for (name, ids...)
@@ -275,7 +268,7 @@ func (e *Engine) Source() *Source { return e.rng }
 
 // lease takes an Event record from the pool (or allocates one) and starts a
 // new generation for it.
-func (e *Engine) lease(t Time, label string) *Event {
+func (e *Engine) lease(t Time) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -288,7 +281,6 @@ func (e *Engine) lease(t Time, label string) *Event {
 	ev.pending = true
 	ev.canceled = false
 	ev.when = t
-	ev.label = label
 	return ev
 }
 
@@ -296,10 +288,18 @@ func (e *Engine) lease(t Time, label string) *Event {
 // preserved so stale queue entries keep mismatching.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
-	ev.recur = nil
 	if len(e.free) < eventPoolCap {
 		e.free = append(e.free, ev)
 	}
+}
+
+// who names the engine in a panic message: its shard, on a shard of a
+// ShardGroup.
+func (e *Engine) who() string {
+	if e.group == nil {
+		return "sim"
+	}
+	return fmt.Sprintf("sim: shard %d", e.shard)
 }
 
 // nextSeq advances seq to the number of an entry scheduled now: one past
@@ -322,22 +322,22 @@ func (e *Engine) enqueue(ev *Event, t Time, seq uint64) {
 
 // At schedules fn to run at time t. Scheduling in the past (t < Now) panics:
 // it always indicates a model bug, and silently reordering time would
-// destroy causality. label is kept for debugging and may be empty.
-func (e *Engine) At(t Time, label string, fn func()) *Event {
+// destroy causality.
+func (e *Engine) At(t Time, fn func()) *Event {
 	e.nextSeq()
-	return e.at(t, e.seq, label, fn)
+	return e.at(t, e.seq, fn)
 }
 
 // at is At with the entry's sequence number given. A ShardGroup merges
 // cross-shard deliveries through it.
-func (e *Engine) at(t Time, seq uint64, label string, fn func()) *Event {
+func (e *Engine) at(t Time, seq uint64, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At with nil fn")
 	}
 	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, e.now))
+		panic(fmt.Sprintf("%s: scheduling at %v before now %v", e.who(), t, e.now))
 	}
-	ev := e.lease(t, label)
+	ev := e.lease(t)
 	ev.fn = fn
 	e.enqueue(ev, t, seq)
 	e.scheduled++
@@ -346,34 +346,11 @@ func (e *Engine) at(t Time, seq uint64, label string, fn func()) *Event {
 }
 
 // After schedules fn to run d from now. Negative d panics.
-func (e *Engine) After(d Time, label string, fn func()) *Event {
+func (e *Engine) After(d Time, fn func()) *Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: After with negative duration %v", d))
 	}
-	return e.At(e.now+d, label, fn)
-}
-
-// Recur schedules a recurring event: fn runs at first, and its return value
-// is the next fire time — an absolute time strictly after Now, not an
-// interval — or RecurStop to end the series. The event is
-// re-armed in place — no per-firing allocation — but each re-arm draws a
-// fresh sequence number exactly as a trailing At would, so firing order
-// among same-time events is identical to the schedule-fire-reschedule
-// pattern it replaces.
-func (e *Engine) Recur(first Time, label string, fn func() Time) *Event {
-	if fn == nil {
-		panic("sim: Recur with nil fn")
-	}
-	if first < e.now {
-		panic(fmt.Sprintf("sim: recurring %q at %v before now %v", label, first, e.now))
-	}
-	ev := e.lease(first, label)
-	ev.recur = fn
-	e.nextSeq()
-	e.enqueue(ev, first, e.seq)
-	e.scheduled++
-	e.live++
-	return ev
+	return e.At(e.now+d, fn)
 }
 
 // Cancel removes ev from the queue and recycles the record. Cancellation is
@@ -401,7 +378,7 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 		panic("sim: Reschedule of dead event")
 	}
 	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling %q at %v before now %v", ev.label, t, e.now))
+		panic(fmt.Sprintf("%s: rescheduling an event due at %v to %v, before now %v", e.who(), ev.when, t, e.now))
 	}
 	ev.gen++ // the old entry goes stale in place
 	ev.when = t
@@ -456,28 +433,6 @@ func (e *Engine) Step() bool {
 	e.fired++
 	e.live--
 	ev.pending = false
-	if ev.recur != nil {
-		next := ev.recur()
-		if next == RecurStop {
-			e.recycle(ev)
-			return true
-		}
-		if next <= e.now {
-			// The callback returns the next absolute time, not an interval.
-			// Re-arming at now would refire the same callback at the same
-			// instant forever; fail loudly instead of looping silently.
-			panic(fmt.Sprintf("sim: recurring %q returned %v, not after now %v", ev.label, next, e.now))
-		}
-		// Re-arm in place. The sequence number is drawn here, after the
-		// callback, matching the trailing-At idiom this replaces.
-		ev.pending = true
-		ev.when = next
-		e.nextSeq()
-		e.enqueue(ev, next, e.seq)
-		e.scheduled++
-		e.live++
-		return true
-	}
 	fn := ev.fn
 	// Recycle before running fn: fn must not retain ev (documented), and
 	// recycling first lets fn's own scheduling reuse the record.
@@ -551,9 +506,6 @@ func (e *Engine) Stopped() bool {
 	return e.stopped
 }
 
-// Group returns the coordinating ShardGroup, or nil for a standalone engine.
-func (e *Engine) Group() *ShardGroup { return e.group }
-
 // runWindow fires every pending event with when < end and reports how many
 // fired. It is the per-shard body of one conservative time window; the
 // ShardGroup guarantees no cross-shard event with when < end can still be
@@ -587,9 +539,9 @@ func (e *Engine) runWindow(end Time) int {
 // its send time (see Engine); t must lie at or past
 // the current window's end (the conservative lookahead guarantee), which
 // holds for anything scheduled at least the group lookahead in the future.
-func (e *Engine) ScheduleOn(dst *Engine, t Time, label string, fn func()) {
+func (e *Engine) ScheduleOn(dst *Engine, t Time, fn func()) {
 	if dst == e || e.group == nil || dst.group == nil {
-		dst.At(t, label, fn)
+		dst.At(t, fn)
 		return
 	}
 	if dst.group != e.group {
@@ -598,12 +550,12 @@ func (e *Engine) ScheduleOn(dst *Engine, t Time, label string, fn func()) {
 	if e.windowEnd == 0 {
 		// Between windows (setup, teardown, or the serial coordinator
 		// phase): the destination queue is quiescent, schedule directly.
-		dst.At(t, label, fn)
+		dst.At(t, fn)
 		return
 	}
 	if t < e.windowEnd {
-		panic(fmt.Sprintf("sim: cross-shard %q at %v inside the current window (end %v): below the group lookahead",
-			label, t, e.windowEnd))
+		panic(fmt.Sprintf("%s: event for shard %d at %v inside the current window (end %v): below the group lookahead",
+			e.who(), dst.shard, t, e.windowEnd))
 	}
-	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, sent: e.now, label: label, fn: fn})
+	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, sent: e.now, fn: fn})
 }

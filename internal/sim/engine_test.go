@@ -15,7 +15,7 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Time{30, 10, 20, 5, 25} {
 		d := d
-		e.At(d, "", func() { got = append(got, e.Now()) })
+		e.At(d, func() { got = append(got, e.Now()) })
 	}
 	e.RunUntilIdle()
 	want := []Time{5, 10, 20, 25, 30}
@@ -29,12 +29,23 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 	}
 }
 
-// TestEntryIs32Bytes pins the queue entry's size. The time an entry was
-// scheduled rides in seq because, as a field of its own, it cut the wheel's
-// events/s on enginebench's node-tick-heavy scenario by a quarter.
+// TestEntryIs32Bytes pins the sizes of the records every event passes
+// through: the queue entry, the Event and the staged cross-shard entry. The
+// time an entry was scheduled rides in seq because, as a field of its own,
+// it cut the wheel's events/s on enginebench's node-tick-heavy scenario by a
+// quarter.
 func TestEntryIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 32 {
-		t.Fatalf("entry is %d bytes, want 32", n)
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"entry", unsafe.Sizeof(entry{}), 32},
+		{"Event", unsafe.Sizeof(Event{}), 32},
+		{"crossEntry", unsafe.Sizeof(crossEntry{}), 24},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s is %d bytes, want %d", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
@@ -62,7 +73,7 @@ func TestSeqTimeLimit(t *testing.T) {
 	for _, at := range []Time{seqTimeLimit - 1, seqTimeLimit} {
 		g := NewShardGroup(0, 2, 1, 10)
 		fired := false
-		g.Shard(0).At(at, "", func() { fired = true })
+		g.Shard(0).At(at, func() { fired = true })
 		want := ""
 		if at == seqTimeLimit {
 			want = "sharded run reached"
@@ -74,7 +85,7 @@ func TestSeqTimeLimit(t *testing.T) {
 	e := NewEngine(0)
 	var got []int
 	for i := range 3 {
-		e.At(seqTimeLimit+Time(i), "", func() { e.At(seqTimeLimit+10, "", func() { got = append(got, i) }) })
+		e.At(seqTimeLimit+Time(i), func() { e.At(seqTimeLimit+10, func() { got = append(got, i) }) })
 	}
 	e.RunUntilIdle()
 	if !slices.Equal(got, []int{0, 1, 2}) {
@@ -97,8 +108,8 @@ func TestSeqInstantLimit(t *testing.T) {
 			run = e.RunUntilIdle
 		}
 		fired := false
-		e.At(1, "", func() {
-			ev := e.At(Microsecond, "", func() { fired = true })
+		e.At(1, func() {
+			ev := e.At(Microsecond, func() { fired = true })
 			for range c.n - 1 {
 				e.Reschedule(ev, Microsecond)
 			}
@@ -119,9 +130,9 @@ func TestSeqInstantLimit(t *testing.T) {
 func TestSeqMergeLimit(t *testing.T) {
 	g := NewShardGroup(0, 2, 1, 10)
 	a, b := g.Shard(0), g.Shard(1)
-	a.At(1, "send", func() {
+	a.At(1, func() {
 		for range mergedSeq + 1 {
-			a.ScheduleOn(b, 20, "delivery", func() {})
+			a.ScheduleOn(b, 20, func() {})
 		}
 	})
 	if msg := panicMsg(func() { g.RunUntilIdle() }); !panicsWith(msg, "at one barrier") || b.Pending() != 0 {
@@ -134,7 +145,7 @@ func TestEngineFIFOAmongEqualTimes(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, "", func() { order = append(order, i) })
+		e.At(100, func() { order = append(order, i) })
 	}
 	e.RunUntilIdle()
 	for i, v := range order {
@@ -147,8 +158,8 @@ func TestEngineFIFOAmongEqualTimes(t *testing.T) {
 func TestEngineAfterAndNow(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	e.After(50, "", func() {
-		e.After(25, "", func() { at = e.Now() })
+	e.After(50, func() {
+		e.After(25, func() { at = e.Now() })
 	})
 	e.RunUntilIdle()
 	if at != 75 {
@@ -159,7 +170,7 @@ func TestEngineAfterAndNow(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(10, "x", func() { fired = true })
+	ev := e.At(10, func() { fired = true })
 	e.Cancel(ev)
 	e.Cancel(ev) // double-cancel is a no-op
 	e.RunUntilIdle()
@@ -175,8 +186,8 @@ func TestEngineCancelFromWithinEvent(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
 	var victim *Event
-	e.At(5, "", func() { e.Cancel(victim) })
-	victim = e.At(10, "", func() { fired = true })
+	e.At(5, func() { e.Cancel(victim) })
+	victim = e.At(10, func() { fired = true })
 	e.RunUntilIdle()
 	if fired {
 		t.Fatal("event canceled mid-run still fired")
@@ -186,9 +197,9 @@ func TestEngineCancelFromWithinEvent(t *testing.T) {
 func TestEngineReschedule(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	ev := e.At(10, "", func() { at = e.Now() })
+	ev := e.At(10, func() { at = e.Now() })
 	e.Reschedule(ev, 40)
-	e.At(20, "", func() {})
+	e.At(20, func() {})
 	e.RunUntilIdle()
 	if at != 40 {
 		t.Fatalf("rescheduled event fired at %v, want 40", at)
@@ -198,8 +209,8 @@ func TestEngineReschedule(t *testing.T) {
 func TestEngineRescheduleEarlier(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	ev := e.At(100, "", func() { order = append(order, "a") })
-	e.At(50, "", func() { order = append(order, "b") })
+	ev := e.At(100, func() { order = append(order, "a") })
+	e.At(50, func() { order = append(order, "b") })
 	e.Reschedule(ev, 10)
 	e.RunUntilIdle()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
@@ -211,7 +222,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
 	for _, d := range []Time{10, 20, 30, 40} {
-		e.At(d, "", func() { count++ })
+		e.At(d, func() { count++ })
 	}
 	n := e.Run(25)
 	if n != 2 || count != 2 {
@@ -229,8 +240,8 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
-	e.At(10, "", func() { count++; e.Stop() })
-	e.At(20, "", func() { count++ })
+	e.At(10, func() { count++; e.Stop() })
+	e.At(20, func() { count++ })
 	e.RunUntilIdle()
 	if count != 1 {
 		t.Fatalf("fired %d events after Stop, want 1", count)
@@ -242,21 +253,21 @@ func TestEngineStop(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.At(100, "", func() {
+	e.At(100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, "", func() {})
+		e.At(50, func() {})
 	})
 	e.RunUntilIdle()
 }
 
 func TestEngineCounters(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.At(1, "", func() {})
-	e.At(2, "", func() {})
+	ev := e.At(1, func() {})
+	e.At(2, func() {})
 	e.Cancel(ev)
 	e.RunUntilIdle()
 	if e.Scheduled() != 2 {
@@ -276,7 +287,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 		var fired []Time
 		for i, r := range raw {
 			delays[i] = Time(r)
-			e.At(Time(r), "", func() { fired = append(fired, e.Now()) })
+			e.At(Time(r), func() { fired = append(fired, e.Now()) })
 		}
 		e.RunUntilIdle()
 		sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
@@ -304,7 +315,7 @@ func TestEngineCancelProperty(t *testing.T) {
 		events := make([]*Event, len(raw))
 		fired := 0
 		for i, r := range raw {
-			events[i] = e.At(Time(r), "", func() { fired++ })
+			events[i] = e.At(Time(r), func() { fired++ })
 		}
 		for i := range events {
 			if i < len(cancelMask) && cancelMask[i] {
@@ -328,11 +339,11 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	next = func() {
 		i++
 		if i < b.N {
-			e.After(10, "", next)
+			e.After(10, next)
 		}
 	}
 	b.ResetTimer()
-	e.After(10, "", next)
+	e.After(10, next)
 	e.RunUntilIdle()
 }
 
@@ -340,9 +351,9 @@ func BenchmarkEngineChurn1k(b *testing.B) {
 	// 1k outstanding events, steady-state schedule/fire churn.
 	e := NewEngine(1)
 	var reschedule func()
-	reschedule = func() { e.After(Time(1000+e.Fired()%97), "", reschedule) }
+	reschedule = func() { e.After(Time(1000+e.Fired()%97), reschedule) }
 	for i := 0; i < 1000; i++ {
-		e.After(Time(i), "", reschedule)
+		e.After(Time(i), reschedule)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,7 +17,7 @@ func TestEventPoolReuseCorrectness(t *testing.T) {
 		if i >= n {
 			return
 		}
-		e.After(Time(1+i%7), "", func() {
+		e.After(Time(1+i%7), func() {
 			if fired[i] {
 				t.Fatalf("event %d fired twice (pool corruption)", i)
 			}
@@ -42,11 +42,10 @@ func TestCanceledEventsAreRecycled(t *testing.T) {
 	e := NewEngine(1)
 	recycled := make(map[*Event]bool)
 	for i := 0; i < 100; i++ {
-		ev := e.At(Time(1000+i), "victim", func() {})
+		ev := e.At(Time(1000+i), func() {})
 		e.Cancel(ev)
-		if !ev.Canceled() || ev.Label() != "victim" {
-			t.Fatalf("event %d lost state right after Cancel: canceled=%v label=%q",
-				i, ev.Canceled(), ev.Label())
+		if !ev.Canceled() {
+			t.Fatalf("event %d lost its canceled state right after Cancel", i)
 		}
 		recycled[ev] = true
 	}
@@ -55,7 +54,7 @@ func TestCanceledEventsAreRecycled(t *testing.T) {
 	// under their old lease.
 	reused, fired := 0, 0
 	for i := 0; i < 100; i++ {
-		ev := e.At(Time(1+i), "fresh", func() { fired++ })
+		ev := e.At(Time(1+i), func() { fired++ })
 		if recycled[ev] {
 			reused++
 		}
@@ -87,7 +86,7 @@ func TestRescheduleStormProperty(t *testing.T) {
 			case 0: // schedule
 				i := i
 				tr := &tracked{final: Time(op%997) + 1}
-				tr.ev = e.At(tr.final, "", func() { fires[i]++ })
+				tr.ev = e.At(tr.final, func() { fires[i]++ })
 				events = append(events, tr)
 			case 1: // reschedule a random live event
 				if len(events) > 0 {
@@ -137,7 +136,7 @@ func TestHeapOrderingUnderRandomChurn(t *testing.T) {
 	ok := true
 	for i := 0; i < 5000; i++ {
 		d := rng.Duration(1000) + 1
-		e.After(d, "", func() {
+		e.After(d, func() {
 			if e.Now() < lastFired {
 				ok = false
 			}

@@ -13,7 +13,6 @@ import (
 // into the destination queue at the window barrier.
 type crossEntry struct {
 	when, sent Time // due and send times
-	label      string
 	fn         func()
 }
 
@@ -316,7 +315,7 @@ func (g *ShardGroup) mergeOutboxes() {
 				panic(fmt.Sprintf("sim: more than %d deliveries into shard %d at one barrier", mergedSeq, di))
 			}
 			for k, ce := range ob {
-				dst.at(ce.when, uint64(ce.sent)<<seqShift|mergedSeq|uint64(n+k), ce.label, ce.fn)
+				dst.at(ce.when, uint64(ce.sent)<<seqShift|mergedSeq|uint64(n+k), ce.fn)
 				ob[k] = crossEntry{} // release the closure references
 			}
 			n += len(ob)

@@ -8,7 +8,7 @@ import (
 )
 
 // The differential harness drives an identical randomized workload — local
-// schedules, cross-shard sends, cancels, reschedules, recurring events —
+// schedules, cross-shard sends, cancels, reschedules, self-rearming ticks —
 // through the reference serial cores and through ShardGroups at several
 // worker counts, and asserts identical fire logs.
 //
@@ -93,7 +93,7 @@ func (d *diffHarness) scheduleLocal(shard int, q Time, h uint64) {
 	id, slot := d.alloc(shard)
 	when := (q+1+Time(h%4))*diffU + slot
 	e := d.engines[shard]
-	ev := e.At(when, "local", func() { d.fired(shard, id) })
+	ev := e.At(when, func() { d.fired(shard, id) })
 	st := d.state[shard]
 	st.pending[id] = ev
 	st.ids = append(st.ids, id)
@@ -110,7 +110,7 @@ func (d *diffHarness) scheduleCross(src, dst int, q Time, h uint64) {
 	}
 	id, slot := d.alloc(src)
 	when := (q+2+Time(h%4))*diffU + slot
-	d.engines[src].ScheduleOn(d.engines[dst], when, "cross", func() { d.fired(dst, id) })
+	d.engines[src].ScheduleOn(d.engines[dst], when, func() { d.fired(dst, id) })
 }
 
 func (d *diffHarness) fired(shard, id int) {
@@ -158,9 +158,10 @@ func (d *diffHarness) fired(shard, id int) {
 	}
 }
 
-// seedWork arms the initial events: three tracked locals plus one recurring
-// tick per shard. The recurring callback re-arms at unique times until its
-// budget runs out, exercising Recur's in-place re-arm inside windows.
+// seedWork arms the initial events: three tracked locals plus one tick per
+// shard. The tick re-arms itself with a trailing At at unique times until
+// its budget runs out, so records fired and re-leased inside windows are
+// exercised.
 func (d *diffHarness) seedWork() {
 	for s := 0; s < diffShards; s++ {
 		s := s
@@ -169,18 +170,20 @@ func (d *diffHarness) seedWork() {
 		}
 		id, slot := d.alloc(s)
 		ticks := 0
-		d.engines[s].Recur(diffU+slot, "tick", func() Time {
-			e := d.engines[s]
+		e := d.engines[s]
+		var tick func()
+		tick = func() {
 			d.mu.Lock()
 			d.log = append(d.log, fireRec{e.Now(), s, id})
 			d.mu.Unlock()
 			ticks++
 			if ticks >= 40 || d.state[s].n >= diffCap {
-				return RecurStop
+				return
 			}
 			_, slot := d.alloc(s)
-			return (coarse(e.Now())+1)*diffU + slot
-		})
+			e.At((coarse(e.Now())+1)*diffU+slot, tick)
+		}
+		e.At(diffU+slot, tick)
 	}
 }
 
@@ -260,9 +263,9 @@ func TestShardedDeliveryOrdersBySendTime(t *testing.T) {
 	script := func(a, b *Engine, run func() uint64) []string {
 		var got []string
 		fire := func(name string) func() { return func() { got = append(got, name) } }
-		a.At(3, "", func() { a.At(20, "before", fire("before")) })
-		b.At(5, "", func() { b.ScheduleOn(a, 20, "delivery", fire("delivery")) })
-		a.At(7, "", func() { a.At(20, "after", fire("after")) })
+		a.At(3, func() { a.At(20, fire("before")) })
+		b.At(5, func() { b.ScheduleOn(a, 20, fire("delivery")) })
+		a.At(7, func() { a.At(20, fire("after")) })
 		run()
 		return got
 	}
@@ -291,15 +294,16 @@ func TestShardedIdleShardKeepsSortedRun(t *testing.T) {
 	const lookahead, windows = 24 * Microsecond, 40
 	g := NewShardGroup(0, 2, 2, lookahead)
 	src, dst := g.Shard(0), g.Shard(1)
-	dst.At(2*Millisecond, "own", func() {})
+	dst.At(2*Millisecond, func() {})
 	sent := 0
-	src.Recur(0, "send", func() Time {
-		src.ScheduleOn(dst, src.Now()+lookahead, "delivery", func() {})
-		if sent++; sent == windows {
-			return RecurStop
+	var send func()
+	send = func() {
+		src.ScheduleOn(dst, src.Now()+lookahead, func() {})
+		if sent++; sent < windows {
+			src.At(src.Now()+lookahead, send)
 		}
-		return src.Now() + lookahead
-	})
+	}
+	src.At(0, send)
 	maxLate, maxAhead := 0, Time(0)
 	for k := Time(0); k < windows; k++ {
 		end := k*lookahead + 1 // Run(until) ends its last window at until+1
@@ -339,14 +343,14 @@ func TestShardedStopDeterministic(t *testing.T) {
 func TestShardedCrossBelowLookaheadPanics(t *testing.T) {
 	g := NewShardGroup(0, 2, 1, 1000)
 	a, b := g.Shard(0), g.Shard(1)
-	a.At(10, "trigger", func() {
+	a.At(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("in-window cross-shard schedule below lookahead did not panic")
 			}
 			panic("unwind") // keep the engine from continuing after the failed schedule
 		}()
-		a.ScheduleOn(b, a.Now()+1, "bad", func() {})
+		a.ScheduleOn(b, a.Now()+1, func() {})
 	})
 	func() {
 		defer func() { recover() }()

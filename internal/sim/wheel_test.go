@@ -37,7 +37,7 @@ func mirroredEngines(t *testing.T, seed int64, ops, maxDelta int) (wheelLog, hea
 			case op < 5: // schedule
 				d := Time(rng.Intn(maxDelta)) + 1
 				label := string(rune('a' + i%26))
-				live = append(live, e.After(d, label, record(label)))
+				live = append(live, e.After(d, record(label)))
 			case op < 7 && len(live) > 0: // cancel
 				idx := rng.Intn(len(live))
 				e.Cancel(live[idx])
@@ -149,7 +149,7 @@ func (d *queueDriver) probePeek(t *testing.T, limit Time) {
 func (d *queueDriver) schedule(t Time) {
 	id := len(d.evs)
 	label := strconv.Itoa(id)
-	d.evs = append(d.evs, d.e.At(t, label, func() {
+	d.evs = append(d.evs, d.e.At(t, func() {
 		d.log = append(d.log, firing{d.e.Now(), label})
 		d.evs[id] = nil
 		if d.onFire != nil {
@@ -263,7 +263,7 @@ func burstLog(t *testing.T, core Core, seed int64) *queueDriver {
 			d.schedule(at)
 		}
 	}
-	e.At(slot-200*nearSlotWidth, "spacer", func() {
+	e.At(slot-200*nearSlotWidth, func() {
 		for _, at := range instants {
 			for i := 0; i < burst/2; i++ {
 				d.schedule(at)
@@ -409,13 +409,13 @@ func TestWheelSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(at, "fifo", func() { got = append(got, i) })
+		e.At(at, func() { got = append(got, i) })
 	}
 	// Same time, scheduled later, after the frontier context changed.
-	e.After(Microsecond, "spacer", func() {
+	e.After(Microsecond, func() {
 		for i := 100; i < 120; i++ {
 			i := i
-			e.At(at, "fifo2", func() { got = append(got, i) })
+			e.At(at, func() { got = append(got, i) })
 		}
 	})
 	e.RunUntilIdle()
@@ -436,7 +436,7 @@ func TestWheelLevelPlacement(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
 	var order []string
 	add := func(d Time, label string) {
-		e.After(d, label, func() { order = append(order, label) })
+		e.After(d, func() { order = append(order, label) })
 	}
 	add(100, "sub-slot")                                   // sub-slot
 	add(20*nearSlotWidth, "near")                          // inside the near window
@@ -460,14 +460,14 @@ func TestWheelLevelPlacement(t *testing.T) {
 func TestWheelTeleport(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
 	fired := false
-	e.At(Time(10*Minute), "lonely", func() { fired = true })
+	e.At(Time(10*Minute), func() { fired = true })
 	e.RunUntilIdle()
 	if !fired || e.Now() != Time(10*Minute) {
 		t.Fatalf("teleport fire: fired=%v now=%v", fired, e.Now())
 	}
 	// RunUntilIdle fires everything due at or before Forever, so the
 	// teleport reaches an entry due at Forever itself.
-	e.At(Forever, "last", func() { fired = false })
+	e.At(Forever, func() { fired = false })
 	e.RunUntilIdle()
 	if fired || e.Now() != Forever {
 		t.Fatalf("teleport to Forever: fired=%v now=%v", !fired, e.Now())
@@ -480,7 +480,7 @@ func TestWheelCancelEverywhere(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
 	var evs []*Event
 	for _, d := range []Time{50, 30 * nearSlotWidth, wheelSlots * nearSlotWidth * 5, Hour} {
-		evs = append(evs, e.After(d, "doomed", func() { t.Fatal("canceled event fired") }))
+		evs = append(evs, e.After(d, func() { t.Fatal("canceled event fired") }))
 	}
 	for _, ev := range evs {
 		e.Cancel(ev)
@@ -496,7 +496,7 @@ func TestWheelCancelEverywhere(t *testing.T) {
 func TestWheelRescheduleAcrossLevels(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
 	count := 0
-	ev := e.After(Hour, "mover", func() { count++ })
+	ev := e.After(Hour, func() { count++ })
 	e.Reschedule(ev, Time(40))                         // below the frontier
 	e.Reschedule(ev, Time(100*nearSlotWidth))          // near
 	e.Reschedule(ev, Time(wheelSlots*nearSlotWidth*7)) // far
@@ -505,81 +505,6 @@ func TestWheelRescheduleAcrossLevels(t *testing.T) {
 	e.RunUntilIdle()
 	if count != 1 || e.Now() != final {
 		t.Fatalf("count=%d now=%v, want 1 fire at %v", count, e.Now(), final)
-	}
-}
-
-// TestRecurBasic: a recurring event re-arms in place until it returns
-// RecurStop, and the engine counts each firing.
-func TestRecurBasic(t *testing.T) {
-	for _, core := range []Core{CoreWheel, CoreHeap} {
-		e := NewEngineWithCore(1, core)
-		var times []Time
-		e.Recur(Time(10), "pulse", func() Time {
-			times = append(times, e.Now())
-			if len(times) == 5 {
-				return RecurStop
-			}
-			return e.Now() + 10
-		})
-		e.RunUntilIdle()
-		want := []Time{10, 20, 30, 40, 50}
-		if len(times) != len(want) {
-			t.Fatalf("core %v: fired at %v, want %v", core, times, want)
-		}
-		for i := range want {
-			if times[i] != want[i] {
-				t.Fatalf("core %v: fired at %v, want %v", core, times, want)
-			}
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("core %v: Pending = %d after RecurStop", core, e.Pending())
-		}
-	}
-}
-
-// TestRecurSeqMatchesTrailingAt: a Recur re-arm must consume the same seq
-// number, at the same point, as the schedule-from-inside-the-handler pattern
-// it replaces — otherwise same-time ordering against other events shifts.
-func TestRecurSeqMatchesTrailingAt(t *testing.T) {
-	run := func(useRecur bool) []firing {
-		var log []firing
-		e := NewEngineWithCore(1, CoreWheel)
-		// A competitor that schedules at the same instants as the periodic
-		// event; relative order depends purely on seq assignment order.
-		e.Recur(Time(5), "competitor", func() Time {
-			log = append(log, firing{e.Now(), "competitor"})
-			return e.Now() + 5
-		})
-		if useRecur {
-			e.Recur(Time(5), "periodic", func() Time {
-				log = append(log, firing{e.Now(), "periodic"})
-				if e.Now() >= 50 {
-					return RecurStop
-				}
-				return e.Now() + 5
-			})
-		} else {
-			var tick func()
-			tick = func() {
-				log = append(log, firing{e.Now(), "periodic"})
-				if e.Now() >= 50 {
-					return
-				}
-				e.At(e.Now()+5, "periodic", tick)
-			}
-			e.At(Time(5), "periodic", tick)
-		}
-		e.Run(Time(51))
-		return log
-	}
-	recurLog, atLog := run(true), run(false)
-	if len(recurLog) != len(atLog) {
-		t.Fatalf("recur fired %d, trailing-At fired %d", len(recurLog), len(atLog))
-	}
-	for i := range recurLog {
-		if recurLog[i] != atLog[i] {
-			t.Fatalf("firing %d: recur %+v vs trailing-At %+v", i, recurLog[i], atLog[i])
-		}
 	}
 }
 
@@ -609,32 +534,5 @@ func TestNextBit(t *testing.T) {
 	}
 	if got := nextBit(&bm, 70); got != 255 {
 		t.Fatalf("after slot 69: got %d", got)
-	}
-}
-
-// BenchmarkWheelVsHeapChurn compares the cores on the engine's churn
-// pattern (schedule far, cancel, reschedule near) — the wheel's O(1)
-// insert/cancel should dominate here.
-func BenchmarkWheelVsHeapChurn(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		core Core
-	}{{"wheel", CoreWheel}, {"heap", CoreHeap}} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngineWithCore(1, bc.core)
-			// Standing population of far-future events, heavy near-term churn.
-			for i := 0; i < 1024; i++ {
-				e.After(Time(i+1)*Millisecond, "standing", func() {})
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := e.After(Time(500+i%1000), "churn", func() {})
-				e.Reschedule(ev, e.Now()+Time(200+i%100))
-				e.Cancel(ev)
-				if i%8 == 0 && e.Pending() > 0 {
-					e.Step()
-				}
-			}
-		})
 	}
 }

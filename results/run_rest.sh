@@ -2,7 +2,8 @@
 # Sequential full-scale experiment runs for EXPERIMENTS.md.
 # Re-baseline No.1: rerun everything after the counter-based RNG stream
 # refactor (all sampled sequences changed; see EXPERIMENTS.md).
-cd /root/repo
+# Runs from the checkout that holds this script, wherever it is called from.
+cd "$(dirname "$0")/.." || exit 1
 run() {
   name=$1; shift
   echo "=== $name $* ===" >> results/rest.log
