@@ -13,8 +13,10 @@
 //
 // Every row is measured the same way: testing.Benchmark with ReportAllocs,
 // best of -reps, with time, bytes and allocations all divided by the events
-// the body counted. The guard compares two wheel/heap ratios; other ratios
-// between rows (sharded/serial) are left to the reader.
+// the body counted. A scenario's points take their reps in turn, so drift
+// on the host moves them together. The guard compares two wheel/heap
+// ratios; other ratios between rows (sharded/serial) are left to the
+// reader.
 package main
 
 import (
@@ -189,44 +191,54 @@ func check(recorded, fresh []row) []verdict {
 	return out
 }
 
-// measure records one scenario at one point: reps testing.Benchmark runs,
-// each calibrated to about a second, keeping the fastest. Its bytes and
-// allocations come from the same run. A point whose body failed on every
-// rep comes back with zero events/s.
-func measure(s scenario, p point, reps int) row {
+// measure records one scenario at the given points: reps rounds, each
+// running every point once in turn, so that host drift outlasting one
+// testing.Benchmark run moves the points of a round together. Each run is
+// calibrated to about a second, and a point keeps its fastest run, with
+// bytes and allocations from the same run. A point whose body failed on
+// every rep comes back with zero events/s.
+func measure(s scenario, points []point, reps int) []row {
 	prev := sim.DefaultCore
 	defer func() { sim.DefaultCore = prev }()
-	sim.DefaultCore = sim.CoreWheel
-	if p.core == "heap" {
-		sim.DefaultCore = sim.CoreHeap
+	best := make([]row, len(points))
+	for i, p := range points {
+		best[i] = row{Scenario: s.name, Core: p.core, Workers: p.workers}
 	}
-	best := row{Scenario: s.name, Core: p.core, Workers: p.workers}
-	for i := 0; i < reps; i++ {
-		var events uint64
-		var win *sim.GroupStats
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			events, win = 0, nil // stay zero if the body calls b.Fatal
-			events, win = s.run(b, p.workers)
-		})
-		if events == 0 || r.T <= 0 {
-			continue
-		}
-		n := float64(events)
-		if eps := n / r.T.Seconds(); eps > best.EventsPerSec {
-			best.Iterations = r.N
-			best.EventsPerSec = eps
-			best.NsPerEvent = float64(r.T.Nanoseconds()) / n
-			best.BytesPerEvent = float64(r.MemBytes) / n
-			best.AllocsPerEvent = float64(r.MemAllocs) / n
+	for rep := 0; rep < reps; rep++ {
+		for i, p := range points {
+			sim.DefaultCore = sim.CoreWheel
+			if p.core == "heap" {
+				sim.DefaultCore = sim.CoreHeap
+			}
+			var events uint64
+			var win *sim.GroupStats
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				events, win = 0, nil // stay zero if the body calls b.Fatal
+				events, win = s.run(b, p.intraRun())
+			})
+			if events == 0 || r.T <= 0 {
+				continue
+			}
+			n := float64(events)
+			eps := n / r.T.Seconds()
+			if eps <= best[i].EventsPerSec {
+				continue
+			}
+			b := &best[i]
+			b.Iterations = r.N
+			b.EventsPerSec = eps
+			b.NsPerEvent = float64(r.T.Nanoseconds()) / n
+			b.BytesPerEvent = float64(r.MemBytes) / n
+			b.AllocsPerEvent = float64(r.MemAllocs) / n
 			if s.cluster {
-				best.WallMsPerRun = float64(r.NsPerOp()) / 1e6
+				b.WallMsPerRun = float64(r.NsPerOp()) / 1e6
 			}
 			if win != nil && win.Windows > 0 {
-				best.Windows = win.Windows
-				best.CrossShardEvents = win.CrossShardEvents
-				best.MeanActiveShards = float64(win.ActiveShardWindows) / float64(win.Windows)
-				best.BarrierStallMs = float64(win.BarrierStallNs) / 1e6
+				b.Windows = win.Windows
+				b.CrossShardEvents = win.CrossShardEvents
+				b.MeanActiveShards = float64(win.ActiveShardWindows) / float64(win.Windows)
+				b.BarrierStallMs = float64(win.BarrierStallNs) / 1e6
 			}
 		}
 	}
@@ -263,13 +275,11 @@ func record(path string, reps int) error {
 	var failed []string
 	for _, s := range scenarios() {
 		out.Scenarios[s.name] = s.detail
-		for _, p := range s.points {
-			fmt.Fprintf(os.Stderr, "%-20s %-7s x%d ...", s.name, p.core, p.workers)
-			r := measure(s, p, reps)
-			fmt.Fprintf(os.Stderr, " %6.3gM ev/s %7.1f ns/ev %6.2f B/ev\n",
-				r.EventsPerSec/1e6, r.NsPerEvent, r.BytesPerEvent)
+		for _, r := range measure(s, s.points, reps) {
+			fmt.Fprintf(os.Stderr, "%-20s %-7s x%d %6.3gM ev/s %7.1f ns/ev %6.2f B/ev\n",
+				r.Scenario, r.Core, r.Workers, r.EventsPerSec/1e6, r.NsPerEvent, r.BytesPerEvent)
 			if r.EventsPerSec <= 0 {
-				failed = append(failed, fmt.Sprintf("%s/%s/%d", s.name, p.core, p.workers))
+				failed = append(failed, fmt.Sprintf("%s/%s/%d", r.Scenario, r.Core, r.Workers))
 			}
 			out.Rows = append(out.Rows, r)
 		}
@@ -302,8 +312,8 @@ func load(path string) (results, error) {
 }
 
 // runCheck is the guard: it re-measures every row a guard reads, a
-// scenario's rows back to back, prints every verdict, and only then reports
-// whether any failed.
+// scenario's rows rep by rep in turn, prints every verdict, and only then
+// reports whether any failed.
 func runCheck(path string, reps int) (passed bool, err error) {
 	rec, err := load(path)
 	if err != nil {
@@ -312,11 +322,13 @@ func runCheck(path string, reps int) (passed bool, err error) {
 	fmt.Fprintf(os.Stderr, "recorded on: %s\nchecking on: %s\n", rec.Machine, currentMachine())
 	var fresh []row
 	for _, s := range scenarios() {
+		var points []point
 		for _, p := range s.points {
 			if slices.ContainsFunc(guards, func(g guard) bool { return g.reads(s.name, p.core) }) {
-				fresh = append(fresh, measure(s, p, reps))
+				points = append(points, p)
 			}
 		}
+		fresh = append(fresh, measure(s, points, reps)...)
 	}
 	passed = true
 	for _, v := range check(rec.Rows, fresh) {

@@ -11,10 +11,20 @@ import (
 	"coschedsim/internal/sim"
 )
 
-// point is one engine core at one intra-run worker count.
+// point is one engine core at one intra-run worker count. A serial point's
+// row keeps workers 1 as its key.
 type point struct {
 	core    string // "heap", "wheel" or "sharded"
 	workers int
+}
+
+// intraRun is the worker count the point's body runs with: 0, the serial
+// engine, on heap and wheel points.
+func (p point) intraRun() int {
+	if p.core == "sharded" {
+		return p.workers
+	}
+	return 0
 }
 
 // The point sets scenarios are recorded at. Heap and wheel rows isolate the
@@ -26,9 +36,9 @@ var (
 )
 
 // body runs b.N iterations of a scenario with the given intra-run worker
-// count. It returns the events they fired, and the window statistics of the
-// first iteration when it ran on the sharded core. A body that fails calls
-// b.Fatal, which leaves its events at zero.
+// count, 0 for the serial engine. It returns the events they fired, and the
+// window statistics of the first iteration when it ran on the sharded core.
+// A body that fails calls b.Fatal, which leaves its events at zero.
 type body func(b *testing.B, workers int) (events uint64, win *sim.GroupStats)
 
 // scenario is one benchmark body and the points it is recorded at. Cluster
@@ -250,15 +260,17 @@ func churn1k(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 func mpiAllreduceSteady(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	const size, ncpu = 16, 4
 	eng := sim.NewEngine(1)
-	fabric := network.MustFabric(eng, network.DefaultConfig())
 	cfg := mpi.DefaultConfig()
 	cfg.ProgressEnabled = false
 	opts := kernel.VanillaOptions(ncpu)
 	nodes := make([]*kernel.Node, size/ncpu)
+	engines := make([]*sim.Engine, len(nodes))
 	for i := range nodes {
 		nodes[i] = kernel.MustNode(eng, i, opts)
 		nodes[i].Start()
+		engines[i] = eng
 	}
+	fabric := network.MustFabric(engines, network.DefaultConfig())
 	job := mpi.MustJob(eng, fabric, cfg, nil)
 	for i := 0; i < size; i++ {
 		job.AddRank(nodes[i/ncpu], i%ncpu)

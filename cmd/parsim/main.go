@@ -48,13 +48,13 @@ func run() int {
 	case "run", "all":
 		fs := flag.NewFlagSet(os.Args[1], flag.ExitOnError)
 		full := fs.Bool("full", false, "paper-size runs (59+ nodes; minutes of wall time)")
-		hugeTier := fs.Bool("huge", false, "huge-tier sizing (1024 nodes / 16384 procs; implies the sharded core unless -shard-procs overrides)")
+		hugeTier := fs.Bool("huge", false, "huge-tier sizing (1024 nodes / 16384 procs; runs sharded on 4 workers unless -shard-procs sets another count)")
 		nodes := fs.Int("nodes", 0, "override the maximum node count")
-		calls := fs.Int("calls", 0, "override timed Allreduce calls per point")
+		calls := fs.Int("calls", 0, "minimum timed Allreduce calls per point (a tier's benchmark window may raise it)")
 		seeds := fs.Int("seeds", 0, "override runs per data point")
 		seed := fs.Int64("seed", 1, "base RNG seed")
 		procs := fs.Int("procs", 0, "total worker budget (0 = GOMAXPROCS, 1 = serial)")
-		shardProcs := fs.Int("shard-procs", 0, "workers per single run on the sharded engine core (carved out of -procs; 0/1 = serial engine per run)")
+		shardProcs := fs.Int("shard-procs", 0, "run each simulation on the sharded engine core with this many workers (carved out of -procs; omit for the serial engine)")
 		csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 		verbose := fs.Bool("v", false, "print per-run progress")
 		checkpoint := fs.String("checkpoint", "", "append aggregate-benchmark run results to this JSONL file as the sweep progresses")
@@ -250,19 +250,21 @@ flags for run/all (may precede or follow experiment names):
   -huge        huge-tier runs (1024 nodes / 16384 procs; defaults
                -shard-procs to 4 so runs use the sharded core)
   -nodes N     override max node count
-  -calls N     override Allreduce calls per point
+  -calls N     minimum Allreduce calls per point; a tier's benchmark
+               window raises it (Quick's 2s window runs a 4-node point
+               about 1,560 calls, even at -calls 96)
   -seeds N     override seeds per point
   -seed N      base RNG seed
   -procs N     total worker budget (0 = all cores, 1 = serial;
                tables are bit-identical at any setting)
-  -shard-procs N  intra-run workers per simulation on the sharded engine
-               core (per-node event shards, conservative time windows).
-               Carved out of the -procs budget: sweep-level workers become
-               procs/shard-procs, so the total never exceeds -procs.
-               0 or 1 runs each simulation on the serial engine. Applies
-               to every experiment (single-node runs stay serial).
-               Output does not depend on N; it matches the serial
-               engine's.
+  -shard-procs N  run each simulation on the sharded engine core (per-node
+               event shards, conservative time windows) with N workers,
+               N >= 1. Carved out of the -procs budget: sweep-level
+               workers become procs/shard-procs, so the total never
+               exceeds -procs. Omitted, each simulation runs on the
+               serial engine. Applies to every experiment (single-node
+               runs stay serial). Output does not depend on N; it
+               matches the serial engine's.
   -csv         CSV output
   -v           progress on stderr (includes per-run pdes window stats
                when -shard-procs is active)

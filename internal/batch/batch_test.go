@@ -15,16 +15,18 @@ import (
 func pool(t *testing.T, seed int64, nNodes, ncpu int) (*sim.Engine, *Scheduler) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	fabric := network.MustFabric(eng, network.DefaultConfig())
 	var nodes []*kernel.Node
 	var clocks []network.Clock
+	var engines []*sim.Engine
 	for i := 0; i < nNodes; i++ {
 		n := kernel.MustNode(eng, i, kernel.PrototypeOptions(ncpu))
 		n.Start()
 		noise.MustAttach(n, noise.QuietConfig())
 		nodes = append(nodes, n)
 		clocks = append(clocks, network.NewSwitchClock(eng))
+		engines = append(engines, eng)
 	}
+	fabric := network.MustFabric(engines, network.DefaultConfig())
 	cfg := mpi.DefaultConfig()
 	cfg.ProgressEnabled = false
 	s, err := NewScheduler(eng, fabric, nodes, clocks, cfg)

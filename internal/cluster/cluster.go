@@ -13,7 +13,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"coschedsim/internal/cosched"
@@ -52,20 +51,20 @@ type Config struct {
 	// service daemon.
 	GPFS *gpfs.Config
 
-	// IntraRunWorkers > 1 runs this cluster on the sharded parallel engine
-	// core (sim.CoreSharded): nodes are mapped onto event shards in groups
-	// of consecutive nodes (about four shards per worker, see
-	// autoShardGroup), executed window by window on that many worker
-	// goroutines, with the fabric latency as conservative lookahead. 0 and
-	// 1 select the serial engine. The value is a worker budget for this
-	// single run; the experiment harness divides the sweep-level budget by
-	// it so sweep x intra-run workers never exceeds the -procs total.
-	// Configurations the sharded core cannot execute (hardware collectives,
-	// single node, zero fabric latency) silently fall back to the serial
-	// engine. Sharded output does not depend on the worker count or the
-	// group size, and it matches the serial engine's. Jitter and workload
-	// imbalance draw from counter-based streams (pure functions of
-	// identity), so they are shard-safe.
+	// IntraRunWorkers decides sharding: 0 runs this cluster on one serial
+	// engine, and n >= 1 runs it on the sharded parallel engine core with
+	// n worker goroutines. Nodes are mapped onto event shards in groups of
+	// consecutive nodes (about four shards per worker, see autoShardGroup),
+	// executed window by window with the fabric latency as conservative
+	// lookahead. The value is a worker budget for this single run; the
+	// experiment harness divides the sweep-level budget by it so sweep x
+	// intra-run workers never exceeds the -procs total. Configurations the
+	// sharded core cannot execute (hardware collectives, single node, zero
+	// fabric latency) silently fall back to the serial engine. Sharded
+	// output does not depend on the worker count or the group size, and it
+	// matches the serial engine's. Jitter and workload imbalance draw from
+	// counter-based streams (pure functions of identity), so they are
+	// shard-safe.
 	IntraRunWorkers int
 
 	// Faults enables deterministic fault injection: crashes, stragglers,
@@ -89,6 +88,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: TasksPerNode %d must be in 1..%d", c.TasksPerNode, c.CPUsPerNode)
 	case !c.SyncClocks && c.ClockSkew < 0:
 		return fmt.Errorf("cluster: negative clock skew")
+	case c.IntraRunWorkers < 0:
+		return fmt.Errorf("cluster: IntraRunWorkers %d must be >= 0 (0 = serial engine)", c.IntraRunWorkers)
 	}
 	if c.Kernel.NumCPUs != c.CPUsPerNode {
 		return fmt.Errorf("cluster: Kernel.NumCPUs %d != CPUsPerNode %d", c.Kernel.NumCPUs, c.CPUsPerNode)
@@ -151,10 +152,6 @@ type Cluster struct {
 	// Supervisors restart stalled daemons, one per node, only when stall
 	// faults are configured.
 	Supervisors []*kernel.Supervisor
-
-	// groupSize is the nodes-per-shard mapping factor (node i lives on
-	// shard i/groupSize); 1 when Group is nil.
-	groupSize int
 }
 
 // shardable reports whether the sharded core can execute the
@@ -182,56 +179,36 @@ func autoShardGroup(nodes, workers int) int {
 	return g
 }
 
-// ShardOf returns the engine-shard index carrying node i (0 on the serial
-// engine).
-func (c *Cluster) ShardOf(i int) int {
-	if c.Group == nil {
-		return 0
-	}
-	return i / c.groupSize
-}
-
-// shardEngine returns the engine node i schedules on.
-func (c *Cluster) shardEngine(i int) *sim.Engine {
-	if c.Group == nil {
-		return c.Eng
-	}
-	return c.Group.Shard(i / c.groupSize)
-}
-
 // Build constructs the cluster. The job is created with one rank per task
 // slot but not launched; call Launch (or Job.Launch) with the program.
 func Build(cfg Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{Config: cfg, groupSize: 1}
-	if (cfg.IntraRunWorkers > 1 || sim.DefaultCore == sim.CoreSharded) && shardable(cfg) {
-		workers := cfg.IntraRunWorkers
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
+	c := &Cluster{Config: cfg}
+	// engines[i] is the engine node i schedules on: the one serial engine,
+	// or node i's shard.
+	engines := make([]*sim.Engine, cfg.Nodes)
+	if cfg.IntraRunWorkers > 0 && shardable(cfg) {
 		// This always leaves at least two shards: shardable needs two
 		// nodes, and a group of more than one node is at most a quarter of
 		// them.
-		group := autoShardGroup(cfg.Nodes, workers)
-		c.Group = sim.NewShardGroup(cfg.Seed, (cfg.Nodes+group-1)/group, workers, cfg.Network.Lookahead())
-		c.groupSize = group
-		c.Eng = c.Group.Shard(0)
+		group := autoShardGroup(cfg.Nodes, cfg.IntraRunWorkers)
+		c.Group = sim.NewShardGroup(cfg.Seed, (cfg.Nodes+group-1)/group, cfg.IntraRunWorkers, cfg.Network.Lookahead())
+		for i := range engines {
+			engines[i] = c.Group.Shard(i / group)
+		}
 	} else {
-		c.Eng = sim.NewEngine(cfg.Seed)
+		eng := sim.NewEngine(cfg.Seed)
+		for i := range engines {
+			engines[i] = eng
+		}
 	}
+	c.Eng = engines[0]
 	var err error
-	c.Fabric, err = network.NewFabric(c.Eng, cfg.Network)
+	c.Fabric, err = network.NewFabric(engines, cfg.Network)
 	if err != nil {
 		return nil, err
-	}
-	if c.Group != nil {
-		engines := make([]*sim.Engine, cfg.Nodes)
-		for i := range engines {
-			engines[i] = c.shardEngine(i)
-		}
-		c.Fabric.BindNodeEngines(engines)
 	}
 	if cfg.Cosched != nil {
 		c.Sched, err = cosched.New(*cfg.Cosched)
@@ -256,8 +233,8 @@ func Build(cfg Config) (*Cluster, error) {
 
 	for i := 0; i < cfg.Nodes; i++ {
 		// Everything owned by node i — kernel, clock, noise, GPFS — lives
-		// on node i's engine shard (the shared engine when not sharded).
-		eng := c.shardEngine(i)
+		// on node i's engine, as its fabric traffic does.
+		eng := engines[i]
 		var clock network.Clock
 		var phase sim.Time
 		if cfg.SyncClocks {

@@ -201,8 +201,8 @@ func TestFaultSendAccounting(t *testing.T) {
 				cfg := tc.cfg
 				cfg.IntraRunWorkers = core.workers
 				c := MustBuild(cfg)
-				if (c.Group != nil) != (core.workers > 1) {
-					t.Fatalf("sharded=%v, want %v", c.Group != nil, core.workers > 1)
+				if (c.Group != nil) != (core.workers > 0) {
+					t.Fatalf("sharded=%v, want %v", c.Group != nil, core.workers > 0)
 				}
 				_, ok := c.Launch(func(r *mpi.Rank) {
 					var loop func(i int)

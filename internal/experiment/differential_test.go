@@ -23,10 +23,9 @@ import (
 // must agree on; TestShardedDifferential in internal/sim checks the
 // engines themselves on synthetic schedules.
 
-// diffCol is a column: one engine configuration. workers is the
-// shard-worker count, 0 on the serial cores. Only sharded/1 needs the
-// sharded default core, since one worker otherwise selects the serial
-// engine; the wider columns shard through their worker count alone, so
+// diffCol is a column: one engine configuration. core is the queue of the
+// serial columns, and workers the shard-worker count, 0 on the serial
+// cores. Every sharded column shards through its worker count alone, so
 // sweeps also check the plumbing of Options.ShardWorkers.
 type diffCol struct {
 	name    string
@@ -37,7 +36,7 @@ type diffCol struct {
 var (
 	heapCol  = diffCol{"heap", sim.CoreHeap, 0}
 	wheelCol = diffCol{"wheel", sim.CoreWheel, 0} // the reference
-	sharded1 = diffCol{"sharded/1", sim.CoreSharded, 1}
+	sharded1 = diffCol{"sharded/1", sim.CoreWheel, 1}
 	sharded2 = diffCol{"sharded/2", sim.CoreWheel, 2}
 	sharded4 = diffCol{"sharded/4", sim.CoreWheel, 4}
 	others   = []diffCol{heapCol, sharded1, sharded2, sharded4} // compared with the wheel
@@ -126,9 +125,9 @@ var rows = []diffRow{
 				return nil
 			}
 			group := 4 / col.workers
-			if c.Group.Shards() != 16/group || c.ShardOf(15) != 15/group {
-				return fmt.Errorf("%d shards with node 15 on shard %d, want %d and %d",
-					c.Group.Shards(), c.ShardOf(15), 16/group, 15/group)
+			if c.Group.Shards() != 16/group || c.Nodes[15].Engine() != c.Group.Shard(15/group) {
+				return fmt.Errorf("%d shards, want %d with node 15 on shard %d",
+					c.Group.Shards(), 16/group, 15/group)
 			}
 			return nil
 		}},
@@ -199,8 +198,9 @@ func jitter8x16(latency sim.Time, seed int64) func() cluster.Config {
 }
 
 // renderCell renders row r on column col: a sweep as its table's text plus
-// CSV, a cluster run as its result, send count and fault report. It fails
-// tb if any cluster the cell built did not run on col's engine.
+// CSV, a cluster run as its result, send count, fabric counters and fault
+// report. It fails tb if any cluster the cell built did not run on col's
+// engine.
 func renderCell(tb testing.TB, r diffRow, col diffCol) []byte {
 	tb.Helper()
 	prevCore, prevBuild := sim.DefaultCore, buildCluster
@@ -224,10 +224,15 @@ func renderCell(tb testing.TB, r diffRow, col diffCol) []byte {
 		if err != nil {
 			tb.Fatalf("%s on %s: %v", r.name, col.name, err)
 		}
-		fmt.Fprintf(&out, "%#v\nsends=%d terminated=%d\n%#v\n", res, c.Job.P2PSends(), c.Job.TerminatedAt(), c.FaultReport())
+		// CrossShardSends is 0 on a serial run by design; the other fabric
+		// counters must agree.
+		fabric := c.Fabric.Stats()
+		crossSends := fabric.CrossShardSends
+		fabric.CrossShardSends = 0
+		fmt.Fprintf(&out, "%#v\nsends=%d terminated=%d\n%#v\n%#v\n", res, c.Job.P2PSends(), c.Job.TerminatedAt(), fabric, c.FaultReport())
 		err = col.shape(c)
 		if err == nil && c.Group != nil {
-			err = windowed(c.Group.Stats().Windows, c.Fabric.Stats().CrossShardSends)
+			err = windowed(c.Group.Stats().Windows, crossSends)
 		}
 		if err == nil && r.check != nil {
 			err = r.check(c, res, col)
@@ -243,9 +248,6 @@ func renderCell(tb testing.TB, r diffRow, col diffCol) []byte {
 	var mu sync.Mutex
 	sharded, reported := 0, 0
 	buildCluster = func(cfg cluster.Config) (*cluster.Cluster, error) {
-		if col.workers == 1 {
-			cfg.IntraRunWorkers = 1
-		}
 		c, err := cluster.Build(cfg)
 		if err == nil {
 			fail(col.shape(c))
@@ -262,9 +264,7 @@ func renderCell(tb testing.TB, r diffRow, col diffCol) []byte {
 	if col == wheelCol {
 		o.Parallelism = 1
 	}
-	if col.workers > 1 {
-		o.ShardWorkers = col.workers
-	}
+	o.ShardWorkers = col.workers
 	o.Progress = func(line string) {
 		if _, counters, ok := strings.Cut(line, " pdes "); ok {
 			var windows, events, sends uint64

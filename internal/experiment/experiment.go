@@ -45,15 +45,15 @@ type Options struct {
 	// enumeration order, so tables, fits and notes are bit-identical at
 	// any parallelism.
 	Parallelism int
-	// ShardWorkers > 1 additionally parallelizes *inside* each simulation
-	// run: clusters are built on the sharded engine core (nodes grouped
-	// onto event shards, conservative time windows) with this many intra-run
-	// workers. The Parallelism value is the TOTAL worker budget — the
-	// sweep-level pool shrinks to Parallelism/ShardWorkers workers so
-	// sweep x intra-run never oversubscribes it. ShardWorkers above the
-	// budget is clamped to it. Outputs do not depend on the value, and
-	// they match the serial engine's. 0 and 1 keep runs on the serial
-	// engine.
+	// ShardWorkers follows cluster.Config.IntraRunWorkers: 0 keeps runs on
+	// the serial engine, and n >= 1 builds every cluster on the sharded
+	// engine core (nodes grouped onto event shards, conservative time
+	// windows) with n intra-run workers. The Parallelism value is the
+	// TOTAL worker budget — the sweep-level pool shrinks to
+	// Parallelism/ShardWorkers workers so sweep x intra-run never
+	// oversubscribes it. ShardWorkers above the budget is clamped to it.
+	// Outputs do not depend on the value, and they match the serial
+	// engine's.
 	ShardWorkers int
 	// Progress, when non-nil, receives one line per run, tagged with its
 	// label, nodes and seed (sharded runs add one engine-window line). Under
@@ -99,7 +99,7 @@ func (o Options) validate() error {
 		return fmt.Errorf("experiment: Parallelism must be >= 0 (0 = GOMAXPROCS)")
 	}
 	if o.ShardWorkers < 0 {
-		return fmt.Errorf("experiment: ShardWorkers must be >= 0 (0/1 = serial engine)")
+		return fmt.Errorf("experiment: ShardWorkers must be >= 0 (0 = serial engine)")
 	}
 	return nil
 }

@@ -46,7 +46,7 @@ func (o Options) seeded(runs []runDesc, label string, nodes int, base int64, cfg
 // workers never exceeds the budget.
 func (o Options) workers() int {
 	w := parallel.Workers(o.Parallelism)
-	if s := o.shardWorkers(); s > 1 {
+	if s := o.shardWorkers(); s > 0 {
 		w /= s
 		if w < 1 {
 			w = 1
@@ -56,16 +56,9 @@ func (o Options) workers() int {
 }
 
 // shardWorkers resolves the per-run intra-run worker count, clamped to the
-// total budget; values <= 1 disable sharding.
+// total budget; 0 keeps runs on the serial engine.
 func (o Options) shardWorkers() int {
-	s := o.ShardWorkers
-	if budget := parallel.Workers(o.Parallelism); s > budget {
-		s = budget
-	}
-	if s <= 1 {
-		return 0
-	}
-	return s
+	return min(o.ShardWorkers, parallel.Workers(o.Parallelism))
 }
 
 // errRunDeadline marks a run cut short by Options.RunDeadline. It is
@@ -123,9 +116,7 @@ func runAll[T any](o Options, runs []runDesc, dash T, cached func(i int) (T, boo
 				return v, nil
 			}
 		}
-		if shard > 1 {
-			r.Cfg.IntraRunWorkers = shard
-		}
+		r.Cfg.IntraRunWorkers = shard
 		c, err := buildCluster(r.Cfg)
 		if err != nil {
 			return zero, err

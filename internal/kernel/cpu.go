@@ -29,7 +29,7 @@ func (c *CPU) Idle() bool { return c.current == nil }
 
 // CPUStats is a snapshot of one CPU's accounting.
 type CPUStats struct {
-	Busy   sim.Time // productive thread execution time
+	Busy   sim.Time // time threads held the CPU, the overhead stolen from them included
 	Stolen sim.Time // tick/IPI/context-switch overhead charged here
 	Ticks  uint64
 }

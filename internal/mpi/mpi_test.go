@@ -15,8 +15,8 @@ import (
 func testCluster(t testing.TB, seed int64, size, ncpu int, cfg Config) (*sim.Engine, *Job) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	fabric := network.MustFabric(eng, network.DefaultConfig())
 	nNodes := (size + ncpu - 1) / ncpu
+	fabric := serialFabric(eng, nNodes, network.DefaultConfig())
 	nodes := make([]*kernel.Node, nNodes)
 	opts := kernel.VanillaOptions(ncpu)
 	for i := range nodes {
@@ -28,6 +28,15 @@ func testCluster(t testing.TB, seed int64, size, ncpu int, cfg Config) (*sim.Eng
 		job.AddRank(nodes[i/ncpu], i%ncpu)
 	}
 	return eng, job
+}
+
+// serialFabric builds a fabric that puts nodes 0..n-1 on eng.
+func serialFabric(eng *sim.Engine, n int, cfg network.Config) *network.Fabric {
+	engines := make([]*sim.Engine, n)
+	for i := range engines {
+		engines[i] = eng
+	}
+	return network.MustFabric(engines, cfg)
 }
 
 // runToCompletion drives the engine until the job finishes, then stops it so
@@ -269,7 +278,7 @@ func (f *fakeRegistry) AttachProcess(_ *kernel.Node, _ int)     { f.attached++ }
 
 func TestRegistryProtocol(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fabric := network.MustFabric(eng, network.DefaultConfig())
+	fabric := serialFabric(eng, 1, network.DefaultConfig())
 	node := kernel.MustNode(eng, 0, kernel.VanillaOptions(4))
 	node.Start()
 	reg := &fakeRegistry{}
@@ -299,7 +308,7 @@ func TestRegistryProtocol(t *testing.T) {
 
 func TestJobLifecyclePanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fabric := network.MustFabric(eng, network.DefaultConfig())
+	fabric := serialFabric(eng, 1, network.DefaultConfig())
 	node := kernel.MustNode(eng, 0, kernel.VanillaOptions(2))
 	node.Start()
 	job := MustJob(eng, fabric, quietConfig(), nil)

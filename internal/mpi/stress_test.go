@@ -21,8 +21,8 @@ func jitterCluster(t *testing.T, seed int64, size, ncpu int, cfg Config) (*sim.E
 		BytesPerSecond: 1e8,
 		Jitter:         50 * sim.Microsecond, // 10x the base latency
 	}
-	fabric := network.MustFabric(eng, net)
 	nNodes := (size + ncpu - 1) / ncpu
+	fabric := serialFabric(eng, nNodes, net)
 	opts := kernel.VanillaOptions(ncpu)
 	nodes := make([]*kernel.Node, nNodes)
 	for i := range nodes {
@@ -123,7 +123,7 @@ func TestPollModeHoldsCPUWhileWaiting(t *testing.T) {
 // concurrently (separate rank spaces must not interfere).
 func TestManyOutstandingSmallJobs(t *testing.T) {
 	eng := sim.NewEngine(8)
-	fabric := network.MustFabric(eng, network.DefaultConfig())
+	fabric := serialFabric(eng, 1, network.DefaultConfig())
 	node := kernel.MustNode(eng, 0, kernel.VanillaOptions(16))
 	node.Start()
 	done := 0

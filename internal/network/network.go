@@ -29,8 +29,10 @@ type Config struct {
 	Jitter sim.Time
 }
 
-// DefaultConfig is calibrated so the model time of a 944-task Allreduce is
-// approximately the paper's 350us (see DESIGN.md §4).
+// DefaultConfig is the SP switch as the model has always configured it:
+// 24us between nodes, 2us on-node, 350 MB/s. Nothing yet checks these
+// against the paper's ~350us model time of a 944-task Allreduce; a
+// noise-free probe at 944 tasks read 206us at minimum (DESIGN.md §4).
 func DefaultConfig() Config {
 	return Config{
 		Latency:        24 * sim.Microsecond,
@@ -71,7 +73,7 @@ type Stats struct {
 	Dropped uint64
 }
 
-// add accumulates counters (for summing per-shard stats).
+// add accumulates counters (for summing per-node stats).
 func (s *Stats) add(o Stats) {
 	s.Messages += o.Messages
 	s.Bytes += o.Bytes
@@ -82,37 +84,48 @@ func (s *Stats) add(o Stats) {
 
 // Fabric delivers messages between nodes.
 type Fabric struct {
-	eng  *sim.Engine
-	cfg  Config
-	src  *sim.Source
-	stat Stats
+	cfg Config
+	src *sim.Source
 
-	// Sharded mode (BindNodeEngines): per-node engines and per-node
-	// counters. Counters are indexed by source node so concurrent shards
-	// never write the same word; Stats sums them.
-	engines   []*sim.Engine
-	shardStat []Stats
+	// engines[i] carries node i's sense of time: the one serial engine for
+	// every node, or node i's shard. Counters are indexed by source node so
+	// concurrent shards never write the same word; Stats sums them.
+	engines  []*sim.Engine
+	nodeStat []Stats
 
 	// jitterIdx[src][dst] counts inter-node messages per ordered pair; the
 	// index is part of the per-message jitter key, making each message's
 	// jitter a pure function of (seed, src, dst, message number) rather
-	// than of global send order. Rows are grown lazily on the serial
-	// engine and pre-sized in BindNodeEngines so shard workers only ever
-	// touch rows owned by their own source nodes. nil while Jitter == 0.
+	// than of global send order. Row src is only ever touched by the engine
+	// that owns node src. nil while Jitter == 0.
 	jitterIdx [][]uint64
 }
 
-// NewFabric builds a fabric on the engine.
-func NewFabric(eng *sim.Engine, cfg Config) (*Fabric, error) {
+// NewFabric builds a fabric over the node-to-engine table: node i's
+// messages originate on engines[i]'s clock, and a delivery to another
+// engine is staged through their shard group. Jitter is shard-safe: each
+// message's jitter is keyed by (src, dst, per-pair message index), so the
+// values are independent of the order in which shards execute their sends.
+func NewFabric(engines []*sim.Engine, cfg Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Fabric{eng: eng, cfg: cfg, src: eng.Source()}, nil
+	if len(engines) == 0 {
+		return nil, fmt.Errorf("network: a fabric needs at least one node")
+	}
+	f := &Fabric{cfg: cfg, src: engines[0].Source(), engines: engines, nodeStat: make([]Stats, len(engines))}
+	if cfg.Jitter > 0 {
+		f.jitterIdx = make([][]uint64, len(engines))
+		for i := range f.jitterIdx {
+			f.jitterIdx[i] = make([]uint64, len(engines))
+		}
+	}
+	return f, nil
 }
 
 // MustFabric is NewFabric for static configurations.
-func MustFabric(eng *sim.Engine, cfg Config) *Fabric {
-	f, err := NewFabric(eng, cfg)
+func MustFabric(engines []*sim.Engine, cfg Config) *Fabric {
+	f, err := NewFabric(engines, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -122,43 +135,13 @@ func MustFabric(eng *sim.Engine, cfg Config) *Fabric {
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// Stats returns traffic counters (summed across shards in sharded mode).
+// Stats returns traffic counters summed over source nodes.
 func (f *Fabric) Stats() Stats {
-	out := f.stat
-	for i := range f.shardStat {
-		out.add(f.shardStat[i])
+	var out Stats
+	for i := range f.nodeStat {
+		out.add(f.nodeStat[i])
 	}
 	return out
-}
-
-// BindNodeEngines switches the fabric to sharded mode: node i's messages
-// originate on engines[i]'s simulated clock and cross-node deliveries are
-// staged through the engines' shard group. Call once, before any traffic.
-// Jitter is shard-safe: each message's jitter is keyed by (src, dst,
-// per-pair message index), so the values are independent of the order in
-// which shards execute their sends.
-func (f *Fabric) BindNodeEngines(engines []*sim.Engine) {
-	if f.stat.Messages > 0 {
-		panic("network: BindNodeEngines after traffic started")
-	}
-	f.engines = engines
-	f.shardStat = make([]Stats, len(engines))
-	if f.cfg.Jitter > 0 {
-		// Pre-size the per-pair message counters so shard workers never
-		// grow a shared slice concurrently.
-		f.jitterIdx = make([][]uint64, len(engines))
-		for i := range f.jitterIdx {
-			f.jitterIdx[i] = make([]uint64, len(engines))
-		}
-	}
-}
-
-// engineFor returns the engine carrying node's sense of time.
-func (f *Fabric) engineFor(node int) *sim.Engine {
-	if f.engines == nil {
-		return f.eng
-	}
-	return f.engines[node]
 }
 
 // JitterFor returns the jitter term of inter-node message number idx from
@@ -169,32 +152,6 @@ func (f *Fabric) JitterFor(srcNode, dstNode int, idx uint64) sim.Time {
 	return cr.Duration(f.cfg.Jitter + 1)
 }
 
-// pairIdx returns the number of inter-node messages sent so far from
-// srcNode to dstNode — the identity index of the *next* message.
-func (f *Fabric) pairIdx(srcNode, dstNode int) uint64 {
-	if srcNode < len(f.jitterIdx) {
-		if row := f.jitterIdx[srcNode]; dstNode < len(row) {
-			return row[dstNode]
-		}
-	}
-	return 0
-}
-
-// bumpPair advances the per-pair message counter. On the serial engine the
-// slices grow on demand; in sharded mode they were pre-sized at bind time
-// and row srcNode is only ever touched by the shard that owns srcNode.
-func (f *Fabric) bumpPair(srcNode, dstNode int) {
-	for srcNode >= len(f.jitterIdx) {
-		f.jitterIdx = append(f.jitterIdx, nil)
-	}
-	row := f.jitterIdx[srcNode]
-	for dstNode >= len(row) {
-		row = append(row, 0)
-	}
-	row[dstNode]++
-	f.jitterIdx[srcNode] = row
-}
-
 // DeliveryTime computes when a message sent now arrives, without sending
 // it: it reads (but does not consume) the next per-pair message index, so
 // a prediction followed by the Send it predicts yields the same time.
@@ -203,16 +160,16 @@ func (f *Fabric) DeliveryTime(srcNode, dstNode, size int) sim.Time {
 	if srcNode == dstNode {
 		lat = f.cfg.LocalLatency
 	} else if f.cfg.Jitter > 0 {
-		lat += f.JitterFor(srcNode, dstNode, f.pairIdx(srcNode, dstNode))
+		lat += f.JitterFor(srcNode, dstNode, f.jitterIdx[srcNode][dstNode])
 	}
 	if f.cfg.BytesPerSecond > 0 && size > 0 {
 		lat += sim.Time(float64(size) / f.cfg.BytesPerSecond * float64(sim.Second))
 	}
-	return f.engineFor(srcNode).Now() + lat
+	return f.engines[srcNode].Now() + lat
 }
 
 // Send schedules deliver to run when a size-byte message from srcNode
-// reaches dstNode. In sharded mode a cross-node delivery is staged into the
+// reaches dstNode. A delivery to another shard is staged into the
 // destination shard's next-window inbox; the delivery time is at least
 // Lookahead past the source clock, which is exactly the shard group's
 // conservative guarantee.
@@ -220,23 +177,19 @@ func (f *Fabric) Send(srcNode, dstNode, size int, deliver func()) {
 	if deliver == nil {
 		panic("network: Send with nil deliver")
 	}
-	st := &f.stat
-	if f.engines != nil {
-		st = &f.shardStat[srcNode]
-	}
+	st := &f.nodeStat[srcNode]
 	st.Messages++
 	st.Bytes += uint64(size)
 	if srcNode == dstNode {
 		st.LocalMessages++
 	}
-	src := f.engineFor(srcNode)
-	dst := f.engineFor(dstNode)
+	src, dst := f.engines[srcNode], f.engines[dstNode]
 	if src != dst {
 		st.CrossShardSends++
 	}
 	when := f.DeliveryTime(srcNode, dstNode, size)
 	if f.cfg.Jitter > 0 && srcNode != dstNode {
-		f.bumpPair(srcNode, dstNode)
+		f.jitterIdx[srcNode][dstNode]++
 	}
 	src.ScheduleOn(dst, when, deliver)
 }
@@ -244,14 +197,10 @@ func (f *Fabric) Send(srcNode, dstNode, size int, deliver func()) {
 // Drop records a message lost to an injected fault before it could be sent.
 // The loss is decided upstream (by a fault model, before Send), so no jitter
 // index is consumed: the jitter of surviving messages is unchanged by drops,
-// keeping faulty runs shard-order independent. Counters are per source node
-// in sharded mode, like Send's.
+// keeping faulty runs shard-order independent. Counters are per source
+// node, like Send's.
 func (f *Fabric) Drop(srcNode, dstNode, size int) {
-	st := &f.stat
-	if f.engines != nil {
-		st = &f.shardStat[srcNode]
-	}
-	st.Dropped++
+	f.nodeStat[srcNode].Dropped++
 }
 
 // Clock is a time source as seen by one node. The co-scheduler aligns its

@@ -7,10 +7,15 @@ import (
 	"coschedsim/internal/sim"
 )
 
+// serial returns a node-to-engine table that puts four nodes on eng.
+func serial(eng *sim.Engine) []*sim.Engine {
+	return []*sim.Engine{eng, eng, eng, eng}
+}
+
 func testFabric(t *testing.T, cfg Config) (*sim.Engine, *Fabric) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	f, err := NewFabric(eng, cfg)
+	f, err := NewFabric(serial(eng), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +107,29 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestShardedTable puts nodes 0 and 1 on one shard and node 2 on another:
+// a send to node 2 is staged across shards and counted as such, and the
+// counters kept per source node sum to the traffic sent.
+func TestShardedTable(t *testing.T) {
+	const lat = 5 * sim.Microsecond
+	g := sim.NewShardGroup(1, 2, 1, lat)
+	a, b := g.Shard(0), g.Shard(1)
+	f := MustFabric([]*sim.Engine{a, a, b}, Config{Latency: lat, LocalLatency: sim.Microsecond})
+	var cross, same sim.Time
+	a.At(sim.Microsecond, func() {
+		f.Send(0, 2, 8, func() { cross = b.Now() })
+		f.Send(0, 1, 8, func() { same = a.Now() })
+	})
+	b.At(sim.Microsecond, func() { f.Send(2, 2, 4, func() {}) })
+	g.RunUntilIdle()
+	if cross != sim.Microsecond+lat || same != sim.Microsecond+lat {
+		t.Fatalf("deliveries at %v (cross-shard) and %v (same shard), want %v", cross, same, sim.Microsecond+lat)
+	}
+	if s := f.Stats(); s.Messages != 3 || s.Bytes != 20 || s.LocalMessages != 1 || s.CrossShardSends != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Latency: -1},
@@ -116,8 +144,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	if _, err := NewFabric(sim.NewEngine(1), Config{Latency: -1}); err == nil {
+	if _, err := NewFabric(serial(sim.NewEngine(1)), Config{Latency: -1}); err == nil {
 		t.Error("NewFabric accepted bad config")
+	}
+	if _, err := NewFabric(nil, DefaultConfig()); err == nil {
+		t.Error("NewFabric accepted an empty node table")
 	}
 }
 
@@ -126,7 +157,7 @@ func TestConfigValidate(t *testing.T) {
 func TestDeliveryMonotoneProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		eng := sim.NewEngine(5)
-		fab := MustFabric(eng, Config{Latency: 3 * sim.Microsecond, BytesPerSecond: 1e8, Jitter: sim.Microsecond})
+		fab := MustFabric(serial(eng), Config{Latency: 3 * sim.Microsecond, BytesPerSecond: 1e8, Jitter: sim.Microsecond})
 		delivered := 0
 		ok := true
 		for _, sz := range sizes {
@@ -205,7 +236,7 @@ func TestJitterReplayFromIdentity(t *testing.T) {
 	const seed = 31
 	cfg := Config{Latency: 10 * sim.Microsecond, Jitter: 6 * sim.Microsecond}
 	eng := sim.NewEngine(seed)
-	f := MustFabric(eng, cfg)
+	f := MustFabric(serial(eng), cfg)
 	type msg struct {
 		src, dst int
 		idx      uint64
@@ -243,7 +274,7 @@ func TestJitterOrderIndependent(t *testing.T) {
 	cfg := Config{Latency: 10 * sim.Microsecond, Jitter: 9 * sim.Microsecond}
 	run := func(interleave bool) []sim.Time {
 		eng := sim.NewEngine(77)
-		f := MustFabric(eng, cfg)
+		f := MustFabric(serial(eng), cfg)
 		var times []sim.Time
 		for i := 0; i < 30; i++ {
 			f.Send(0, 1, 0, func() { times = append(times, eng.Now()) })

@@ -148,17 +148,12 @@ const (
 	// assert both cores fire identically, and benchmarks use it as the
 	// baseline.
 	CoreHeap
-	// CoreSharded requests the conservative time-window parallel core: one
-	// wheel-backed shard per cluster node, coordinated by a ShardGroup (see
-	// sharded.go). The selection is honored by cluster.Build, which knows
-	// the shard topology; a bare NewEngine call cannot shard a single queue
-	// and falls back to the timer wheel.
-	CoreSharded
 )
 
-// DefaultCore is the queue implementation NewEngine uses. Tests flip it to
-// CoreHeap to run whole simulations against the reference queue; both cores
-// produce bit-identical simulations.
+// DefaultCore is the queue implementation NewEngine uses. Tests and
+// enginebench flip it to CoreHeap to run whole simulations against the
+// reference queue; both cores produce bit-identical simulations. A
+// ShardGroup's shards are always wheels.
 var DefaultCore = CoreWheel
 
 // An entry's seq packs the time it was scheduled, in nanoseconds, above a

@@ -156,7 +156,8 @@ type Attribution struct {
 // Attribute scans records of one node in [from, to] and accounts occupancy
 // of every thread whose name does not have the given app prefix. Dispatch
 // events open an occupancy segment on a CPU; preempt/block/sleep/exit close
-// it. Segments still open at `to` are truncated there.
+// it. Segments still open at `to` are truncated there and closed in CPU
+// order. Of equal bursts, the one closed first names LongestName.
 func Attribute(recs []Record, node int, from, to sim.Time, appPrefix string) Attribution {
 	a := Attribution{
 		From: from, To: to, Node: node,
@@ -215,9 +216,6 @@ func Attribute(recs []Record, node int, from, to sim.Time, appPrefix string) Att
 			if !strings.HasPrefix(r.Thread, appPrefix) && r.Thread != "" {
 				running[cpu] = &open{name: r.Thread, daemon: r.Daemon, since: r.Time}
 			}
-			if r.Time >= from {
-				// only dispatches within the window count toward churn
-			}
 		case kernel.EvPreempt:
 			closeSeg(int(r.Arg), r.Time)
 			if r.Time >= from {
@@ -237,7 +235,12 @@ func Attribute(recs []Record, node int, from, to sim.Time, appPrefix string) Att
 			}
 		}
 	}
+	cpus := make([]int, 0, len(running))
 	for cpu := range running {
+		cpus = append(cpus, cpu)
+	}
+	sort.Ints(cpus)
+	for _, cpu := range cpus {
 		closeSeg(cpu, to)
 	}
 	return a

@@ -192,6 +192,24 @@ func TestAttributeIgnoresOtherNodes(t *testing.T) {
 	}
 }
 
+// TestAttributeLongestTieByCPU puts two daemons on CPUs 0 and 1 at time 0,
+// both still running at the window's end, so their bursts tie. The one on
+// the lower CPU must name the longest burst on every call, whatever the
+// order of the map of open segments.
+func TestAttributeLongestTieByCPU(t *testing.T) {
+	us := sim.Microsecond
+	recs := []Record{
+		{Time: 0, Node: 0, CPU: 1, Kind: kernel.EvDispatch, Thread: "hatsd", Daemon: true, Arg: 1},
+		{Time: 0, Node: 0, CPU: 0, Kind: kernel.EvDispatch, Thread: "syncd", Daemon: true, Arg: 0},
+	}
+	for i := 0; i < 200; i++ {
+		a := Attribute(recs, 0, 10*us, 50*us, "rank")
+		if a.LongestName != "syncd" || a.LongestBurst != 40*us {
+			t.Fatalf("call %d: longest = %s/%v, want syncd/40us", i, a.LongestName, a.LongestBurst)
+		}
+	}
+}
+
 func TestTopOffenders(t *testing.T) {
 	us := sim.Microsecond
 	a := Attribute(fixCPURecords(buildRecords()), 0, 0, 1000*us, "rank")
