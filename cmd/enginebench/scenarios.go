@@ -195,7 +195,7 @@ func nodeTickHeavy(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 		eng := sim.NewEngine(int64(i + 1))
 		opts := kernel.VanillaOptions(16)
 		opts.UsageDecay = true
-		n := kernel.MustNode(eng, 0, opts)
+		n := kernel.MustNode(eng.NewHandle(0), opts)
 		for h := 0; h < 24; h++ {
 			th := n.NewThread("hog", 100, h%16)
 			var spin func()
@@ -224,9 +224,10 @@ func nodeTickHeavy(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 // round trip as a self-rescheduling chain instead.
 func scheduleFire(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	e := sim.NewEngine(1)
+	h := e.NewHandle(0)
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
-		e.After(sim.Time(i%97)+1, fn)
+		h.After(sim.Time(i%97)+1, fn)
 		e.Step()
 	}
 	return e.Fired(), nil
@@ -236,15 +237,16 @@ func scheduleFire(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 // far-future events: schedule, reschedule nearer, cancel.
 func churn1k(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	e := sim.NewEngine(1)
+	h := e.NewHandle(0)
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
-		e.After(sim.Time(i+1)*sim.Millisecond, fn)
+		h.After(sim.Time(i+1)*sim.Millisecond, fn)
 	}
 	standing := e.Scheduled()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := e.After(sim.Time(500+i%1000), fn)
-		e.Reschedule(ev, e.Now()+sim.Time(200+i%100))
+		ev := h.After(sim.Time(500+i%1000), fn)
+		h.Reschedule(ev, e.Now()+sim.Time(200+i%100))
 		e.Cancel(ev)
 		if i%8 == 0 && e.Pending() > 0 {
 			e.Step()
@@ -264,14 +266,14 @@ func mpiAllreduceSteady(b *testing.B, _ int) (uint64, *sim.GroupStats) {
 	cfg.ProgressEnabled = false
 	opts := kernel.VanillaOptions(ncpu)
 	nodes := make([]*kernel.Node, size/ncpu)
-	engines := make([]*sim.Engine, len(nodes))
+	handles := make([]*sim.Handle, len(nodes))
 	for i := range nodes {
-		nodes[i] = kernel.MustNode(eng, i, opts)
+		handles[i] = eng.NewHandle(i)
+		nodes[i] = kernel.MustNode(handles[i], opts)
 		nodes[i].Start()
-		engines[i] = eng
 	}
-	fabric := network.MustFabric(engines, network.DefaultConfig())
-	job := mpi.MustJob(eng, fabric, cfg, nil)
+	fabric := network.MustFabric(handles, network.DefaultConfig())
+	job := mpi.MustJob(fabric, cfg, nil)
 	for i := 0; i < size; i++ {
 		job.AddRank(nodes[i/ncpu], i%ncpu)
 	}
@@ -305,18 +307,18 @@ func shardedWindowLoop(b *testing.B, workers int) (uint64, *sim.GroupStats) {
 	lookahead := 24 * sim.Microsecond
 	g := sim.NewShardGroup(1, shards, workers, lookahead)
 	for i := 0; i < shards; i++ {
-		e := g.Shard(i)
+		h := g.Shard(i).NewHandle(i)
 		n := 0
 		var chain func()
 		chain = func() {
 			n++
 			if n%4 == 0 {
 				dst := g.Shard((i + 1) % shards)
-				e.ScheduleOn(dst, e.Now()+lookahead, func() {})
+				h.ScheduleOn(dst, h.Now()+lookahead, func() {})
 			}
-			e.At(e.Now()+10*sim.Microsecond, chain)
+			h.At(h.Now()+10*sim.Microsecond, chain)
 		}
-		e.At(sim.Time(i+1)*sim.Microsecond, chain)
+		h.At(sim.Time(i+1)*sim.Microsecond, chain)
 	}
 	b.ResetTimer()
 	g.Run(sim.Time(b.N) * lookahead)

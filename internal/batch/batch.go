@@ -276,7 +276,7 @@ func (s *Scheduler) start(p pending, backfill bool) {
 	if p.req.MPI != nil {
 		cfg = *p.req.MPI
 	}
-	job := mpi.MustJob(s.eng, s.fabric, cfg, registry)
+	job := mpi.MustJob(s.fabric, cfg, registry)
 	for _, id := range ids {
 		for cpu := 0; cpu < p.req.TasksPerNode; cpu++ {
 			job.AddRank(s.nodes[id], cpu)

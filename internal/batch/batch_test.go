@@ -17,16 +17,17 @@ func pool(t *testing.T, seed int64, nNodes, ncpu int) (*sim.Engine, *Scheduler) 
 	eng := sim.NewEngine(seed)
 	var nodes []*kernel.Node
 	var clocks []network.Clock
-	var engines []*sim.Engine
+	var handles []*sim.Handle
 	for i := 0; i < nNodes; i++ {
-		n := kernel.MustNode(eng, i, kernel.PrototypeOptions(ncpu))
+		h := eng.NewHandle(i)
+		n := kernel.MustNode(h, kernel.PrototypeOptions(ncpu))
 		n.Start()
 		noise.MustAttach(n, noise.QuietConfig())
 		nodes = append(nodes, n)
 		clocks = append(clocks, network.NewSwitchClock(eng))
-		engines = append(engines, eng)
+		handles = append(handles, h)
 	}
-	fabric := network.MustFabric(engines, network.DefaultConfig())
+	fabric := network.MustFabric(handles, network.DefaultConfig())
 	cfg := mpi.DefaultConfig()
 	cfg.ProgressEnabled = false
 	s, err := NewScheduler(eng, fabric, nodes, clocks, cfg)

@@ -88,6 +88,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: TasksPerNode %d must be in 1..%d", c.TasksPerNode, c.CPUsPerNode)
 	case !c.SyncClocks && c.ClockSkew < 0:
 		return fmt.Errorf("cluster: negative clock skew")
+	case c.Nodes > sim.MaxNodes:
+		return fmt.Errorf("cluster: Nodes %d exceeds the %d node ids an event key holds", c.Nodes, sim.MaxNodes)
 	case c.IntraRunWorkers < 0:
 		return fmt.Errorf("cluster: IntraRunWorkers %d must be >= 0 (0 = serial engine)", c.IntraRunWorkers)
 	}
@@ -186,27 +188,28 @@ func Build(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{Config: cfg}
-	// engines[i] is the engine node i schedules on: the one serial engine,
-	// or node i's shard.
-	engines := make([]*sim.Engine, cfg.Nodes)
+	// handles[i] is node i's scheduling handle, on the one serial engine or
+	// on node i's shard. Everything node i owns schedules through it, so
+	// serial and sharded runs key every event alike (see sim.Engine).
+	handles := make([]*sim.Handle, cfg.Nodes)
 	if cfg.IntraRunWorkers > 0 && shardable(cfg) {
 		// This always leaves at least two shards: shardable needs two
 		// nodes, and a group of more than one node is at most a quarter of
 		// them.
 		group := autoShardGroup(cfg.Nodes, cfg.IntraRunWorkers)
 		c.Group = sim.NewShardGroup(cfg.Seed, (cfg.Nodes+group-1)/group, cfg.IntraRunWorkers, cfg.Network.Lookahead())
-		for i := range engines {
-			engines[i] = c.Group.Shard(i / group)
+		for i := range handles {
+			handles[i] = c.Group.Shard(i / group).NewHandle(i)
 		}
 	} else {
 		eng := sim.NewEngine(cfg.Seed)
-		for i := range engines {
-			engines[i] = eng
+		for i := range handles {
+			handles[i] = eng.NewHandle(i)
 		}
 	}
-	c.Eng = engines[0]
+	c.Eng = handles[0].Engine()
 	var err error
-	c.Fabric, err = network.NewFabric(engines, cfg.Network)
+	c.Fabric, err = network.NewFabric(handles, cfg.Network)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +237,7 @@ func Build(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		// Everything owned by node i — kernel, clock, noise, GPFS — lives
 		// on node i's engine, as its fabric traffic does.
-		eng := engines[i]
+		eng := handles[i].Engine()
 		var clock network.Clock
 		var phase sim.Time
 		if cfg.SyncClocks {
@@ -255,7 +258,7 @@ func Build(cfg Config) (*Cluster, error) {
 			phase = off % sharedOpts.EffectiveTick()
 			clock = network.NewLocalClock(eng, off)
 		}
-		n, err := kernel.NewNodeShared(eng, i, &sharedOpts, phase)
+		n, err := kernel.NewNodeShared(handles[i], &sharedOpts, phase)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +288,7 @@ func Build(cfg Config) (*Cluster, error) {
 	if c.Sched != nil {
 		registry = c.Sched
 	}
-	c.Job, err = mpi.NewJob(c.Eng, c.Fabric, cfg.MPI, registry)
+	c.Job, err = mpi.NewJob(c.Fabric, cfg.MPI, registry)
 	if err != nil {
 		return nil, err
 	}
@@ -303,11 +306,10 @@ func Build(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// armFaults schedules every precomputed fault on its node's engine. This
-// runs at build time, before any window executes, so direct At calls on
-// per-shard engines are legal and produce identical queues on every core:
-// nodes are visited in index order and each event's (time, node, arming
-// order) is a pure function of the injector's schedules.
+// armFaults schedules every precomputed fault through its node's handle.
+// This runs at build time, before any window executes, so each event's key
+// (time, node, that node's order) is a pure function of the injector's
+// schedules, the same on every core.
 func (c *Cluster) armFaults() {
 	inj := c.Faults
 	fc := inj.Config()
@@ -327,7 +329,7 @@ func (c *Cluster) armFaults() {
 	}
 
 	for i, n := range c.Nodes {
-		eng := n.Engine()
+		sched := n.Sched()
 		inj.LaunchStraggler(n, i)
 		for d := 0; d < c.Noise[i].DaemonCount(); d++ {
 			at := inj.StallAt(i, d)
@@ -335,7 +337,7 @@ func (c *Cluster) armFaults() {
 				continue
 			}
 			set, d := c.Noise[i], d
-			eng.At(at, func() {
+			sched.At(at, func() {
 				if th := set.DaemonThread(d); th != nil && th.State() != kernel.StateExited {
 					th.Kill()
 				}
@@ -346,7 +348,7 @@ func (c *Cluster) armFaults() {
 			continue
 		}
 		node, set, idx := n, c.Noise[i], i
-		eng.At(crash, func() {
+		sched.At(crash, func() {
 			// The node dies whole: its ranks are lost, its noise and
 			// co-scheduler daemon stop, its supervisor gives up.
 			c.Job.FailRanksOn(node, true)
@@ -365,14 +367,14 @@ func (c *Cluster) armFaults() {
 			if si == i {
 				continue
 			}
-			seng, sn := sn.Engine(), sn
+			ssched, sn := sn.Sched(), sn
 			if fc.Policy == fault.PolicyReplan && c.Sched != nil {
-				seng.At(detect, func() { c.Sched.Replan(sn) })
-				seng.At(detect+fc.ReplanDrain, func() {
+				ssched.At(detect, func() { c.Sched.Replan(sn) })
+				ssched.At(detect+fc.ReplanDrain, func() {
 					c.Job.FailRanksOn(sn, false)
 				})
 			} else {
-				seng.At(detect, func() {
+				ssched.At(detect, func() {
 					c.Job.FailRanksOn(sn, false)
 				})
 			}

@@ -17,11 +17,15 @@ func TestConfigValidate(t *testing.T) {
 	if err := Prototype(4, 16, 1).Validate(); err != nil {
 		t.Fatalf("prototype invalid: %v", err)
 	}
+	if err := Vanilla(sim.MaxNodes, 16, 1).Validate(); err != nil {
+		t.Fatalf("%d nodes invalid: %v", sim.MaxNodes, err)
+	}
 	bad := []func(*Config){
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.TasksPerNode = 0 },
 		func(c *Config) { c.TasksPerNode = 17 },
-		func(c *Config) { c.CPUsPerNode = 8 }, // mismatch with Kernel.NumCPUs
+		func(c *Config) { c.CPUsPerNode = 8 },          // mismatch with Kernel.NumCPUs
+		func(c *Config) { c.Nodes = sim.MaxNodes + 1 }, // past the event key's node ids
 	}
 	for i, mutate := range bad {
 		cfg := Vanilla(2, 16, 1)

@@ -133,7 +133,7 @@ func TestLookupClass(t *testing.T) {
 func testbed(t *testing.T, seed int64, params Params) (*sim.Engine, *kernel.Node, *Scheduler, []*kernel.Thread) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	n := kernel.MustNode(eng, 0, kernel.PrototypeOptions(4))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.PrototypeOptions(4))
 	n.Start()
 	s := MustNew(params)
 	s.AddNode(n, network.NewSwitchClock(eng))
@@ -257,7 +257,7 @@ func TestSyncedClocksOverlapUnsyncedDont(t *testing.T) {
 		eng := sim.NewEngine(9)
 		s := MustNew(DefaultParams())
 		for i, off := range offsets {
-			n := kernel.MustNode(eng, i, kernel.PrototypeOptions(2))
+			n := kernel.MustNode(eng.NewHandle(i), kernel.PrototypeOptions(2))
 			n.Start()
 			var clock network.Clock
 			if off == 0 {
@@ -291,7 +291,7 @@ func TestDaemonDeniedDuringFavoredWindow(t *testing.T) {
 	// favored window and run in the unfavored tail.
 	params := DefaultParams()
 	eng := sim.NewEngine(11)
-	n := kernel.MustNode(eng, 0, kernel.PrototypeOptions(1)) // single CPU: contention guaranteed
+	n := kernel.MustNode(eng.NewHandle(0), kernel.PrototypeOptions(1)) // single CPU: contention guaranteed
 	n.Start()
 	s := MustNew(params)
 	s.AddNode(n, network.NewSwitchClock(eng))
@@ -344,7 +344,7 @@ func TestFavoredOverlapEdgeCases(t *testing.T) {
 
 func TestRegisterOnUnmanagedNodePanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n := kernel.MustNode(eng, 0, kernel.VanillaOptions(1))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.VanillaOptions(1))
 	s := MustNew(DefaultParams())
 	defer func() {
 		if recover() == nil {
@@ -356,7 +356,7 @@ func TestRegisterOnUnmanagedNodePanics(t *testing.T) {
 
 func TestAddNodeTwicePanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n := kernel.MustNode(eng, 0, kernel.VanillaOptions(1))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.VanillaOptions(1))
 	n.Start()
 	s := MustNew(DefaultParams())
 	s.AddNode(n, network.NewSwitchClock(eng))

@@ -14,7 +14,7 @@ import (
 // re-aligned to the stepped clock.
 func TestClockStepMidRun(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n := kernel.MustNode(eng, 0, kernel.PrototypeOptions(2))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.PrototypeOptions(2))
 	n.Start()
 	clock := network.NewLocalClock(eng, 0)
 	s := MustNew(DefaultParams())
@@ -26,8 +26,8 @@ func TestClockStepMidRun(t *testing.T) {
 	s.RegisterProcess(n, 1000, []*kernel.Thread{task})
 
 	// Step the clock forward 2.7s at t=12s and backward 1.3s at t=30s.
-	eng.At(12*sim.Second, func() { clock.Step(2700 * sim.Millisecond) })
-	eng.At(30*sim.Second, func() { clock.Step(-1300 * sim.Millisecond) })
+	n.Sched().At(12*sim.Second, func() { clock.Step(2700 * sim.Millisecond) })
+	n.Sched().At(30*sim.Second, func() { clock.Step(-1300 * sim.Millisecond) })
 	eng.Run(60 * sim.Second)
 
 	trans := s.Transitions()
@@ -53,7 +53,7 @@ func TestClockStepMidRun(t *testing.T) {
 // the scheduler must track membership without leaking or misprioritizing.
 func TestManyProcessChurn(t *testing.T) {
 	eng := sim.NewEngine(2)
-	n := kernel.MustNode(eng, 0, kernel.PrototypeOptions(4))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.PrototypeOptions(4))
 	n.Start()
 	s := MustNew(DefaultParams())
 	s.AddNode(n, network.NewSwitchClock(eng))
@@ -69,7 +69,7 @@ func TestManyProcessChurn(t *testing.T) {
 		s.RegisterProcess(n, 2000+i, []*kernel.Thread{th})
 	}
 	// Unregister half at 8s (mid favored window).
-	eng.At(8*sim.Second, func() {
+	n.Sched().At(8*sim.Second, func() {
 		for i := 0; i < 6; i++ {
 			s.UnregisterProcess(n, 2000+i)
 			threads[i].Wakeup() // let them exit
@@ -95,14 +95,14 @@ func TestManyProcessChurn(t *testing.T) {
 // stray control-pipe messages.
 func TestDetachOfUnknownProcessIsNoop(t *testing.T) {
 	eng := sim.NewEngine(3)
-	n := kernel.MustNode(eng, 0, kernel.PrototypeOptions(1))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.PrototypeOptions(1))
 	n.Start()
 	s := MustNew(DefaultParams())
 	s.AddNode(n, network.NewSwitchClock(eng))
 	s.DetachProcess(n, 999)     // unknown proc
 	s.AttachProcess(n, 999)     // unknown proc
 	s.UnregisterProcess(n, 999) // unknown proc
-	other := kernel.MustNode(eng, 1, kernel.VanillaOptions(1))
+	other := kernel.MustNode(eng.NewHandle(1), kernel.VanillaOptions(1))
 	s.DetachProcess(other, 1)     // unmanaged node
 	s.AttachProcess(other, 1)     // unmanaged node
 	s.UnregisterProcess(other, 1) // unmanaged node

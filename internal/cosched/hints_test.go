@@ -30,7 +30,7 @@ func TestHintAwareParamsValid(t *testing.T) {
 func hintbed(t *testing.T, params Params) (*sim.Engine, *kernel.Node, *Scheduler) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	n := kernel.MustNode(eng, 0, kernel.PrototypeOptions(2))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.PrototypeOptions(2))
 	n.Start()
 	s := MustNew(params)
 	s.AddNode(n, network.NewSwitchClock(eng))
@@ -47,11 +47,11 @@ func TestFineGrainRegionExtendsFavoredWindow(t *testing.T) {
 
 	// Enter a fine-grain region just before the favored window would end
 	// (boundary 5s, favored end 9.5s), exit at 9.65s.
-	eng.At(9400*sim.Millisecond, func() { s.EnterFineGrain(n, 1000) })
-	eng.At(9650*sim.Millisecond, func() { s.ExitFineGrain(n, 1000) })
+	n.Sched().At(9400*sim.Millisecond, func() { s.EnterFineGrain(n, 1000) })
+	n.Sched().At(9650*sim.Millisecond, func() { s.ExitFineGrain(n, 1000) })
 
 	var flipAt sim.Time
-	eng.At(9450*sim.Millisecond, func() {
+	n.Sched().At(9450*sim.Millisecond, func() {
 		// Poll for the unfavored flip.
 		var poll func()
 		poll = func() {
@@ -59,7 +59,7 @@ func TestFineGrainRegionExtendsFavoredWindow(t *testing.T) {
 				flipAt = eng.Now()
 				return
 			}
-			eng.After(10*sim.Millisecond, poll)
+			n.Sched().After(10*sim.Millisecond, poll)
 		}
 		poll()
 	})
@@ -81,7 +81,7 @@ func TestFineGrainExtensionBudgetCaps(t *testing.T) {
 	eng, n, s := hintbed(t, params)
 
 	// Enter a region before the favored end and never exit.
-	eng.At(9400*sim.Millisecond, func() { s.EnterFineGrain(n, 1000) })
+	n.Sched().At(9400*sim.Millisecond, func() { s.EnterFineGrain(n, 1000) })
 	eng.Run(11 * sim.Second)
 
 	// The flip must still have happened within the budget (plus tick
@@ -106,7 +106,7 @@ func TestFineGrainExtensionBudgetCaps(t *testing.T) {
 func TestHintsDisabledByDefault(t *testing.T) {
 	params := DefaultParams() // MaxFineGrainExtension = 0
 	eng, n, s := hintbed(t, params)
-	eng.At(9400*sim.Millisecond, func() { s.EnterFineGrain(n, 1000) })
+	n.Sched().At(9400*sim.Millisecond, func() { s.EnterFineGrain(n, 1000) })
 	eng.Run(9700 * sim.Millisecond)
 	if s.NodeFavored(n) {
 		t.Fatal("window extended with a zero budget")

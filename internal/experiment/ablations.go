@@ -276,6 +276,11 @@ func AblationFineGrainHints(o Options) (*Table, error) {
 		{"no-hints", false},
 		{"hints", true},
 	}
+	// One step per call, but at least 256 steps (5.1s of compute, about five
+	// co-scheduler periods). Over fewer, the favored-window flips can miss
+	// every collective, and then the hints defer nothing: at 128 steps on 4
+	// nodes, and at 200 on 2 or 16, both rows read the same.
+	steps := max(o.Calls, 256)
 	var runs []runDesc
 	for _, sc := range scens {
 		cfg := cluster.Prototype(nodes, 16, o.BaseSeed)
@@ -291,7 +296,7 @@ func AblationFineGrainHints(o Options) (*Table, error) {
 	}
 	outs, err := runAll(o, runs, nanRow(3), nil, func(i int, c *cluster.Cluster) (row, error) {
 		spec := workload.BSPSpec{
-			Steps:             400,
+			Steps:             steps,
 			ComputeMean:       20 * sim.Millisecond,
 			ComputeJitter:     2 * sim.Millisecond,
 			AllreducesPerStep: 4,

@@ -73,8 +73,9 @@ type diffRow struct {
 	sweep string // experiment name; empty for a cluster run
 	cfg   func() cluster.Config
 	run   func(c *cluster.Cluster) (any, error)
-	// check adds assertions on a cluster run's cluster and result, after
-	// the column's own checks passed.
+	// check adds assertions on a cell, after the column's own checks
+	// passed: on a cluster run's cluster and result, or on a sweep's
+	// *Table with a nil cluster.
 	check func(c *cluster.Cluster, res any, col diffCol) error
 	short bool // in the -short subset
 }
@@ -105,7 +106,18 @@ var rows = []diffRow{
 	{name: "abl-jitter", sweep: "abl-jitter"},
 	{name: "abl-fault", sweep: "abl-fault", short: true},
 	{name: "fig4", sweep: "fig4", short: true},
-	{name: "abl-hints", sweep: "abl-hints", short: true},
+	// The hints must defer a favored-window flip, or the row compares no
+	// deferral across cores.
+	{name: "abl-hints", sweep: "abl-hints", short: true,
+		check: func(_ *cluster.Cluster, res any, _ diffCol) error {
+			tab := res.(*Table)
+			i := slices.Index(tab.RowTags, "hints")
+			j := slices.IndexFunc(tab.Cols, func(c Column) bool { return c.Name == "extension" })
+			if i < 0 || j < 0 || !(tab.Rows[i][j] > 0) {
+				return fmt.Errorf("the hints row extended no favored window: %v", tab.Rows)
+			}
+			return nil
+		}},
 	{name: "t2", sweep: "t2"},
 	{name: "vanilla-4x16", short: true, run: allreduce(60),
 		cfg: func() cluster.Config { return cluster.Vanilla(4, 16, 7) }},
@@ -180,8 +192,8 @@ var rows = []diffRow{
 			return res, err
 		}},
 	// Jittered runs whose per-call times depend on a cross-shard delivery
-	// firing among local events due at the same instant in the order they
-	// were scheduled.
+	// firing among local events due at the same instant in the order of
+	// the key: time scheduled, then scheduling node and its order.
 	{name: "jitter12us-8x16", short: true, run: allreduce(128), cfg: jitter8x16(12*sim.Microsecond, 3)},
 	{name: "jitter6us-8x16-s2", short: true, run: allreduce(128), cfg: jitter8x16(6*sim.Microsecond, 2)},
 	{name: "jitter6us-8x16-s5", short: true, run: allreduce(128), cfg: jitter8x16(6*sim.Microsecond, 5)},
@@ -282,6 +294,9 @@ func renderCell(tb testing.TB, r diffRow, col diffCol) []byte {
 	tab.CSV(&out)
 	if reported != sharded || col.workers > 0 && sharded == 0 {
 		tb.Errorf("%s on %s: %d runs sharded, %d reported engine counters", r.name, col.name, sharded, reported)
+	}
+	if r.check != nil {
+		fail(r.check(nil, tab, col))
 	}
 	return out.Bytes()
 }

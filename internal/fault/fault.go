@@ -250,10 +250,10 @@ func (inj *Injector) LaunchStraggler(n *kernel.Node, i int) {
 		return
 	}
 	cfg := inj.cfg
-	eng := n.Engine()
-	eng.At(at, func() {
+	sched := n.Sched()
+	sched.At(at, func() {
 		th := n.NewDaemon("straggler", stragglerPrio, 0)
-		end := eng.Now() + cfg.StragglerDuration
+		end := sched.Now() + cfg.StragglerDuration
 		busy := sim.Time(cfg.StragglerDuty * float64(stragglerQuantum))
 		if busy < 1 {
 			busy = 1
@@ -263,7 +263,7 @@ func (inj *Injector) LaunchStraggler(n *kernel.Node, i int) {
 		}
 		var cycle func()
 		cycle = func() {
-			if eng.Now() >= end {
+			if sched.Now() >= end {
 				th.Exit()
 				return
 			}

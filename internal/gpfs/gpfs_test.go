@@ -10,7 +10,7 @@ import (
 func testNode(t *testing.T, ncpu int, opts kernel.Options) (*sim.Engine, *kernel.Node) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	n := kernel.MustNode(eng, 0, opts)
+	n := kernel.MustNode(eng.NewHandle(0), opts)
 	n.Start()
 	return eng, n
 }
@@ -133,7 +133,7 @@ func TestFavoredPriorityStarvesIO(t *testing.T) {
 	run := func(taskPrio kernel.Priority) sim.Time {
 		opts := kernel.PrototypeOptions(2)
 		eng := sim.NewEngine(2)
-		n := kernel.MustNode(eng, 0, opts)
+		n := kernel.MustNode(eng.NewHandle(0), opts)
 		n.Start()
 		cfg := DefaultConfig()
 		cfg.BufferBytes = 1 << 20 // tiny buffer: writes hit the daemon path fast

@@ -14,7 +14,7 @@ import (
 func TestAccountingIdentities(t *testing.T) {
 	opts := VanillaOptions(4)
 	eng := sim.NewEngine(5)
-	n := MustNode(eng, 0, opts)
+	n := MustNode(eng.NewHandle(0), opts)
 	n.Start()
 	rng := eng.CounterRand("acct")
 
@@ -109,7 +109,7 @@ func TestMigrationCounted(t *testing.T) {
 
 	// A competing hog that grabs whatever CPU the mover vacates.
 	hog1 := n.NewThread("hog1", 40, 1)
-	eng.At(5*sim.Millisecond, func() {
+	n.Sched().At(5*sim.Millisecond, func() {
 		hog1.Start(func() { hog1.Run(15*sim.Millisecond, hog1.Exit) })
 	})
 	eng.Run(sim.Second)

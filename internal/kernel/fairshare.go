@@ -82,7 +82,7 @@ func (n *Node) startUsageSweep() {
 			}
 		}
 		n.reconcile()
-		n.eng.After(usageSweepPeriod, sweep)
+		n.sched.After(usageSweepPeriod, sweep)
 	}
-	n.eng.After(usageSweepPeriod, sweep)
+	n.sched.After(usageSweepPeriod, sweep)
 }

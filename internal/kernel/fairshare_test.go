@@ -10,7 +10,7 @@ func TestUsageDecayDegradesHogs(t *testing.T) {
 	opts := VanillaOptions(1)
 	opts.UsageDecay = true
 	eng := sim.NewEngine(1)
-	n := MustNode(eng, 0, opts)
+	n := MustNode(eng.NewHandle(0), opts)
 	n.Start()
 
 	hog := n.NewThread("hog", 60, 0)
@@ -39,7 +39,7 @@ func TestUsageDecayPreventsStarvationWithoutTimeslice(t *testing.T) {
 		opts.Timeslice = false
 		opts.UsageDecay = decay
 		eng := sim.NewEngine(2)
-		n := MustNode(eng, 0, opts)
+		n := MustNode(eng.NewHandle(0), opts)
 		n.Start()
 		mk := func(name string) *Thread {
 			th := n.NewThread(name, 60, 0)
@@ -70,7 +70,7 @@ func TestSetPriorityFixesAgainstDecay(t *testing.T) {
 	opts := VanillaOptions(1)
 	opts.UsageDecay = true
 	eng := sim.NewEngine(3)
-	n := MustNode(eng, 0, opts)
+	n := MustNode(eng.NewHandle(0), opts)
 	n.Start()
 
 	hog := n.NewThread("hog", 60, 0)
@@ -89,7 +89,7 @@ func TestDaemonsExemptFromDecay(t *testing.T) {
 	opts := VanillaOptions(2)
 	opts.UsageDecay = true
 	eng := sim.NewEngine(4)
-	n := MustNode(eng, 0, opts)
+	n := MustNode(eng.NewHandle(0), opts)
 	n.Start()
 	d := n.NewDaemon("busyd", PrioSystemDaemon, 0)
 	var spin func()
@@ -106,7 +106,7 @@ func TestDecayOffByDefault(t *testing.T) {
 		t.Fatal("usage decay must be opt-in")
 	}
 	eng := sim.NewEngine(5)
-	n := MustNode(eng, 0, VanillaOptions(1))
+	n := MustNode(eng.NewHandle(0), VanillaOptions(1))
 	n.Start()
 	hog := n.NewThread("hog", 60, 0)
 	var spin func()

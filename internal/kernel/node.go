@@ -12,7 +12,7 @@ import (
 // record (see NewNodeShared); the only per-node policy value, the clock
 // phase shifting the tick grid, lives in the node itself.
 type Node struct {
-	eng   *sim.Engine
+	sched *sim.Handle // the node's handle: every event its code schedules goes through it
 	id    int
 	opts  *Options // read-only after construction, possibly shared
 	phase sim.Time // this node's tick-grid phase (clock skew)
@@ -50,13 +50,14 @@ type NodeStats struct {
 	Preemptions   uint64
 }
 
-// NewNode builds a node with the given options. Ticks do not begin until
-// Start is called, so threads can be created and started at time zero first.
-func NewNode(eng *sim.Engine, id int, opts Options) (*Node, error) {
+// NewNode builds a node with the given options that schedules through h,
+// and takes h's node id as its own. Ticks do not begin until Start is
+// called, so threads can be created and started at time zero first.
+func NewNode(h *sim.Handle, opts Options) (*Node, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return newNode(eng, id, &opts, opts.Phase), nil
+	return newNode(h, &opts, opts.Phase), nil
 }
 
 // NewNodeShared builds a node referencing a shared read-only Options record
@@ -64,15 +65,15 @@ func NewNode(eng *sim.Engine, id int, opts Options) (*Node, error) {
 // separately (opts.Phase is ignored). The caller must validate opts once and
 // must not mutate it afterwards. This is the constructor cluster assembly
 // uses: one Options record serves every node of a 1024-node system.
-func NewNodeShared(eng *sim.Engine, id int, opts *Options, phase sim.Time) (*Node, error) {
+func NewNodeShared(h *sim.Handle, opts *Options, phase sim.Time) (*Node, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return newNode(eng, id, opts, phase), nil
+	return newNode(h, opts, phase), nil
 }
 
-func newNode(eng *sim.Engine, id int, opts *Options, phase sim.Time) *Node {
-	n := &Node{eng: eng, id: id, opts: opts, phase: phase}
+func newNode(h *sim.Handle, opts *Options, phase sim.Time) *Node {
+	n := &Node{sched: h, id: h.Node(), opts: opts, phase: phase}
 	n.cpus = make([]*CPU, opts.NumCPUs)
 	for i := range n.cpus {
 		n.cpus[i] = &CPU{node: n, idx: i}
@@ -81,8 +82,8 @@ func newNode(eng *sim.Engine, id int, opts *Options, phase sim.Time) *Node {
 }
 
 // MustNode is NewNode for static configurations known to be valid.
-func MustNode(eng *sim.Engine, id int, opts Options) *Node {
-	n, err := NewNode(eng, id, opts)
+func MustNode(h *sim.Handle, opts Options) *Node {
+	n, err := NewNode(h, opts)
 	if err != nil {
 		panic(err)
 	}
@@ -93,7 +94,11 @@ func MustNode(eng *sim.Engine, id int, opts Options) *Node {
 func (n *Node) ID() int { return n.id }
 
 // Engine returns the simulation engine driving this node.
-func (n *Node) Engine() *sim.Engine { return n.eng }
+func (n *Node) Engine() *sim.Engine { return n.sched.Engine() }
+
+// Sched returns the node's scheduling handle. Code that runs for the node
+// schedules its events through it.
+func (n *Node) Sched() *sim.Handle { return n.sched }
 
 // Options returns the node's scheduling options (with Phase reflecting
 // this node's actual tick-grid phase).
@@ -136,14 +141,14 @@ func (n *Node) trace(kind EventKind, th *Thread, arg int64) {
 	if th != nil && th.cpu != nil {
 		cpu = th.cpu.idx
 	}
-	n.sink.KernelEvent(n.eng.Now(), n.id, cpu, kind, th, arg)
+	n.sink.KernelEvent(n.sched.Now(), n.id, cpu, kind, th, arg)
 }
 
 func (n *Node) traceCPU(kind EventKind, cpu int, arg int64) {
 	if n.sink == nil {
 		return
 	}
-	n.sink.KernelEvent(n.eng.Now(), n.id, cpu, kind, nil, arg)
+	n.sink.KernelEvent(n.sched.Now(), n.id, cpu, kind, nil, arg)
 }
 
 // NewThread creates a thread bound to homeCPU (or Unbound) at the given
@@ -203,9 +208,9 @@ func (n *Node) Start() {
 		var fire func()
 		fire = func() {
 			n.tick(c)
-			n.eng.At(c.nextTickAtOrAfter(n.eng.Now()+1), fire)
+			n.sched.At(c.nextTickAtOrAfter(n.sched.Now()+1), fire)
 		}
-		n.eng.At(c.nextTickAtOrAfter(n.eng.Now()), fire)
+		n.sched.At(c.nextTickAtOrAfter(n.sched.Now()), fire)
 	}
 	n.startUsageSweep()
 }
@@ -230,7 +235,7 @@ func (n *Node) stealCPU(c *CPU, cost sim.Time, counter *sim.Time) {
 	case c.current != nil && c.current.burstEnd != nil:
 		*counter += cost
 		c.stolen += cost
-		n.eng.Reschedule(c.current.burstEnd, c.current.burstEnd.When()+cost)
+		n.sched.Reschedule(c.current.burstEnd, c.current.burstEnd.When()+cost)
 	case c.current != nil && c.current.spinning:
 		// A spinner absorbs the handler time: it was producing nothing.
 		*counter += cost
@@ -263,7 +268,7 @@ func (n *Node) makeReady(t *Thread) {
 		panic("kernel: makeReady on " + t.String())
 	}
 	t.state = StateReady
-	t.readySince = n.eng.Now()
+	t.readySince = n.sched.Now()
 	n.queueFor(t).Push(t)
 	n.trace(EvReady, t, 0)
 	if c := n.idleCPUFor(t); c != nil {
@@ -356,7 +361,7 @@ func (n *Node) dispatchOn(c *CPU) {
 
 // dispatch places ready thread t on idle CPU c and starts its burst segment.
 func (n *Node) dispatch(c *CPU, t *Thread) {
-	now := n.eng.Now()
+	now := n.sched.Now()
 	t.queue.Remove(t)
 	t.waitTime += now - t.readySince
 	t.state = StateRunning
@@ -392,7 +397,7 @@ func (n *Node) dispatch(c *CPU, t *Thread) {
 	}
 	work := t.burstLeft
 	t.burstLeft = 0
-	t.burstEnd = n.eng.After(overhead+work, t.finishFn)
+	t.burstEnd = n.sched.After(overhead+work, t.finishFn)
 	n.trace(EvDispatch, t, int64(c.idx))
 }
 
@@ -402,16 +407,16 @@ func (n *Node) dispatch(c *CPU, t *Thread) {
 func (t *Thread) beginBurst(d sim.Time) {
 	n := t.node
 	c := t.cpu
-	c.busySince = n.eng.Now()
+	c.busySince = n.sched.Now()
 	c.stolenMark = c.stolen
-	t.burstEnd = n.eng.After(d, t.finishFn)
+	t.burstEnd = n.sched.After(d, t.finishFn)
 }
 
 // closeSegment accrues occupancy and productive time for the segment that
 // is ending on t's CPU.
 func (n *Node) closeSegment(t *Thread) {
 	c := t.cpu
-	occ := n.eng.Now() - c.busySince
+	occ := n.sched.Now() - c.busySince
 	steal := c.stolen - c.stolenMark
 	c.busy += occ
 	t.cpuTime += occ - steal
@@ -435,7 +440,7 @@ func (n *Node) releaseCPU(t *Thread) {
 	}
 	switch {
 	case t.burstEnd != nil: // killed mid-burst
-		n.eng.Cancel(t.burstEnd)
+		n.sched.Engine().Cancel(t.burstEnd)
 		t.burstEnd = nil
 		n.closeSegment(t)
 	case t.spinning: // killed mid-spin (eventless)
@@ -451,11 +456,11 @@ func (n *Node) releaseCPU(t *Thread) {
 // preserving its remaining work.
 func (n *Node) preempt(c *CPU) {
 	t := c.current
-	now := n.eng.Now()
+	now := n.sched.Now()
 	remaining := sim.Time(0)
 	if t.burstEnd != nil {
 		remaining = t.burstEnd.When() - now
-		n.eng.Cancel(t.burstEnd)
+		n.sched.Engine().Cancel(t.burstEnd)
 		t.burstEnd = nil
 	}
 	n.closeSegment(t)
@@ -550,7 +555,7 @@ func (n *Node) scheduleIPI(c *CPU) {
 	}
 	c.pendingIPI = true
 	n.ipiInFlight++
-	n.eng.After(n.opts.IPILatency, func() {
+	n.sched.After(n.opts.IPILatency, func() {
 		c.pendingIPI = false
 		n.ipiInFlight--
 		n.acct.ipis++

@@ -19,7 +19,7 @@ func exactOptions(ncpu int) Options {
 func newTestNode(t *testing.T, opts Options) (*sim.Engine, *Node) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	n, err := NewNode(eng, 0, opts)
+	n, err := NewNode(eng.NewHandle(0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLazyPreemptionWaitsForTick(t *testing.T) {
 	hi := n.NewThread("hi", 30, 0)
 	// hi becomes ready at t=3ms; the CPU is busy with hog. Ticks on CPU 0
 	// fall at 0, 10ms, 20ms..., so the preemption is noticed at 10ms.
-	eng.At(3*sim.Millisecond, func() {
+	n.Sched().At(3*sim.Millisecond, func() {
 		hi.Start(func() { hi.Run(0, func() { dispatched = eng.Now(); hi.Exit() }) })
 	})
 	eng.Run(sim.Second)
@@ -140,7 +140,7 @@ func TestIPIPreemptionLatencyExact(t *testing.T) {
 	}
 	// Make hi runnable at exactly t = 3ms via an external event + Block.
 	hi.Start(func() { hi.Block(hiBody) })
-	eng.At(3*sim.Millisecond, func() { hi.Wakeup() })
+	n.Sched().At(3*sim.Millisecond, func() { hi.Wakeup() })
 
 	eng.Run(sim.Second)
 	// hi is briefly dispatched at t=0 (Start), blocks immediately, hog
@@ -164,7 +164,7 @@ func TestVanillaPreemptionWaitsForTickAfterWakeup(t *testing.T) {
 			hi.Run(0, func() { dispatched = eng.Now(); hi.Exit() })
 		})
 	})
-	eng.At(3*sim.Millisecond, func() { hi.Wakeup() })
+	n.Sched().At(3*sim.Millisecond, func() { hi.Wakeup() })
 
 	eng.Run(sim.Second)
 	if dispatched != 10*sim.Millisecond {
@@ -194,12 +194,12 @@ func TestReversePreemptionLazyVsIPI(t *testing.T) {
 		// Start the runner only after the waiter has had time to block
 		// (at t=0 the initial tick would otherwise preempt the waiter
 		// before its zero-length startup burst completes).
-		eng.At(500*sim.Microsecond, func() {
+		n.Sched().At(500*sim.Microsecond, func() {
 			runner.Start(func() { runner.Run(50*sim.Millisecond, runner.Exit) })
 		})
-		eng.At(sim.Millisecond, func() { waiter.Wakeup() })
+		n.Sched().At(sim.Millisecond, func() { waiter.Wakeup() })
 		// At 3ms the runner's priority is lowered below the waiter's.
-		eng.At(3*sim.Millisecond, func() { runner.SetPriority(100) })
+		n.Sched().At(3*sim.Millisecond, func() { runner.SetPriority(100) })
 		eng.Run(sim.Second)
 		return dispatched
 	}
@@ -240,7 +240,7 @@ func TestMultiIPIAllowsConcurrentForcedPreemptions(t *testing.T) {
 			})
 		}
 		// Wake both high-priority threads at the same instant.
-		eng.At(sim.Millisecond, func() {
+		n.Sched().At(sim.Millisecond, func() {
 			for _, th := range n.Threads() {
 				if th.Name() == "hi" && th.State() == StateBlocked {
 					th.Wakeup()
@@ -279,7 +279,7 @@ func TestIdleCPURunsImmediately(t *testing.T) {
 			other.Run(0, func() { dispatched = eng.Now(); other.Exit() })
 		})
 	})
-	eng.At(3*sim.Millisecond, func() { other.Wakeup() })
+	n.Sched().At(3*sim.Millisecond, func() { other.Wakeup() })
 	eng.Run(sim.Second)
 	if dispatched != 3*sim.Millisecond {
 		t.Fatalf("idle-CPU dispatch at %v, want immediate 3ms", dispatched)
@@ -306,10 +306,10 @@ func TestIdleStealRunsBoundThreadElsewhere(t *testing.T) {
 			})
 		})
 		hog := n.NewThread("hog", 50, 0)
-		eng.At(sim.Millisecond, func() {
+		n.Sched().At(sim.Millisecond, func() {
 			hog.Start(func() { hog.Run(50*sim.Millisecond, hog.Exit) })
 		})
-		eng.At(3*sim.Millisecond, func() { bound.Wakeup() })
+		n.Sched().At(3*sim.Millisecond, func() { bound.Wakeup() })
 		eng.Run(100 * sim.Millisecond)
 
 		if steal {
@@ -367,7 +367,7 @@ func TestMigrationPenaltyInflatesBurst(t *testing.T) {
 	hog.Start(func() {
 		hog.Sleep(2*sim.Millisecond, func() { hog.Run(60*sim.Millisecond, hog.Exit) })
 	})
-	eng.At(3*sim.Millisecond, func() { th.Wakeup() })
+	n.Sched().At(3*sim.Millisecond, func() { th.Wakeup() })
 	eng.Run(sim.Second)
 
 	// Burst of 4ms inflated by 1.5 = 6ms, started at 3ms on CPU 1 => 9ms.
@@ -433,7 +433,7 @@ func TestTickStaggeringAndAlignment(t *testing.T) {
 		opts := exactOptions(4)
 		opts.AlignTicks = align
 		eng := sim.NewEngine(1)
-		n := MustNode(eng, 0, opts)
+		n := MustNode(eng.NewHandle(0), opts)
 		times := make([]sim.Time, 4)
 		seen := make([]bool, 4)
 		n.SetSink(sinkFunc(func(now sim.Time, _ int, cpu int, kind EventKind, _ *Thread, _ int64) {
@@ -534,7 +534,7 @@ func TestNodePhaseShiftsTickGrid(t *testing.T) {
 	opts := exactOptions(1)
 	opts.Phase = 3 * sim.Millisecond
 	eng := sim.NewEngine(1)
-	n := MustNode(eng, 0, opts)
+	n := MustNode(eng.NewHandle(0), opts)
 	var first sim.Time = -1
 	n.SetSink(sinkFunc(func(now sim.Time, _ int, _ int, kind EventKind, _ *Thread, _ int64) {
 		if kind == EvTick && first < 0 {
@@ -558,7 +558,7 @@ func TestBlockAndWakeup(t *testing.T) {
 			th.Exit()
 		})
 	})
-	eng.At(7*sim.Millisecond, func() { th.Wakeup() })
+	n.Sched().At(7*sim.Millisecond, func() { th.Wakeup() })
 	eng.Run(sim.Second)
 	if resumed != 7*sim.Millisecond {
 		t.Fatalf("resumed at %v, want 7ms (wakeups are not quantized)", resumed)
@@ -591,7 +591,7 @@ func TestSetPriorityReordersQueue(t *testing.T) {
 	a := mk("a", 60)
 	mk("b", 70)
 	// While both are queued behind hog, make a worse than b.
-	eng.At(5*sim.Millisecond, func() { a.SetPriority(80) })
+	n.Sched().At(5*sim.Millisecond, func() { a.SetPriority(80) })
 	eng.Run(sim.Second)
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("order = %v, want [b a]", order)
@@ -613,7 +613,7 @@ func TestKillStates(t *testing.T) {
 	queued := n.NewThread("q", 110, 0)
 	queued.Start(func() { queued.Run(0, queued.Exit) })
 
-	eng.At(20*sim.Millisecond, func() {
+	n.Sched().At(20*sim.Millisecond, func() {
 		running.Kill()
 		sleeping.Kill()
 		blocked.Kill()
@@ -720,7 +720,7 @@ func TestPreemptedThreadResumesWithRemainingWork(t *testing.T) {
 	hi.Start(func() {
 		hi.Block(func() { hi.Run(2*sim.Millisecond, hi.Exit) })
 	})
-	eng.At(4*sim.Millisecond, func() { hi.Wakeup() })
+	n.Sched().At(4*sim.Millisecond, func() { hi.Wakeup() })
 	eng.Run(sim.Second)
 
 	// low: 4ms work, preempted for 2ms, then 6ms more => done at 12ms.
@@ -743,7 +743,7 @@ func TestInjectInterruptStealsTime(t *testing.T) {
 	var done sim.Time
 	th := n.NewThread("w", 100, 0)
 	th.Start(func() { th.Run(5*sim.Millisecond, func() { done = eng.Now(); th.Exit() }) })
-	eng.At(2*sim.Millisecond, func() { n.InjectInterrupt(0, 300*sim.Microsecond) })
+	n.Sched().At(2*sim.Millisecond, func() { n.InjectInterrupt(0, 300*sim.Microsecond) })
 	eng.Run(sim.Second)
 	if done != 5300*sim.Microsecond {
 		t.Fatalf("done at %v, want 5.3ms", done)
@@ -757,7 +757,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() []sim.Time {
 		opts := VanillaOptions(4)
 		eng := sim.NewEngine(42)
-		n := MustNode(eng, 0, opts)
+		n := MustNode(eng.NewHandle(0), opts)
 		n.Start()
 		rng := eng.CounterRand("test")
 		var completions []sim.Time

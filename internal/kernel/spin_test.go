@@ -16,7 +16,7 @@ func TestSpinWaitSignalImmediate(t *testing.T) {
 			th.Exit()
 		})
 	})
-	eng.At(3*sim.Millisecond, func() { th.Signal() })
+	n.Sched().At(3*sim.Millisecond, func() { th.Signal() })
 	eng.Run(sim.Second)
 	// A running spinner continues at the signal instant — zero latency.
 	if resumed != 3*sim.Millisecond {
@@ -42,11 +42,11 @@ func TestSpinWaitConsumesCPUAndIsPreemptible(t *testing.T) {
 
 	// A better-priority daemon preempts the spinner from 2ms to 5ms.
 	d := n.NewThread("daemon", 56, 0)
-	eng.At(2*sim.Millisecond, func() {
+	n.Sched().At(2*sim.Millisecond, func() {
 		d.Start(func() { d.Run(3*sim.Millisecond, d.Exit) })
 	})
 	// Signal arrives at 4ms, while the spinner is preempted.
-	eng.At(4*sim.Millisecond, func() { spinner.Signal() })
+	n.Sched().At(4*sim.Millisecond, func() { spinner.Signal() })
 	eng.Run(sim.Second)
 
 	// The spinner can only continue once the daemon exits at 5ms.
@@ -66,7 +66,7 @@ func TestSpinWaitQuantumReArms(t *testing.T) {
 		th.SpinWait(func() { done = true; th.Exit() })
 	})
 	// Signal after more than one spin quantum (1h).
-	eng.At(sim.Hour+30*sim.Minute, func() { th.Signal() })
+	n.Sched().At(sim.Hour+30*sim.Minute, func() { th.Signal() })
 	eng.Run(3 * sim.Hour)
 	if !done {
 		t.Fatal("spinner did not survive a quantum expiry")
@@ -88,7 +88,7 @@ func TestKillSpinningThread(t *testing.T) {
 	eng, n := newTestNode(t, exactOptions(1))
 	th := n.NewThread("spinner", 100, 0)
 	th.Start(func() { th.SpinWait(func() { th.Exit() }) })
-	eng.At(5*sim.Millisecond, func() { th.Kill() })
+	n.Sched().At(5*sim.Millisecond, func() { th.Kill() })
 	eng.Run(sim.Second)
 	if th.State() != StateExited {
 		t.Fatalf("killed spinner state %v", th.State())
@@ -113,7 +113,7 @@ func TestSpinnerSharesCPUViaTimeslice(t *testing.T) {
 	worker.Start(func() {
 		worker.Run(30*sim.Millisecond, func() { done = eng.Now(); worker.Exit() })
 	})
-	eng.At(200*sim.Millisecond, func() {
+	n.Sched().At(200*sim.Millisecond, func() {
 		if spinner.Spinning() {
 			spinner.Signal()
 		}

@@ -21,7 +21,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 				opts = PrototypeOptions(4)
 			}
 			eng := sim.NewEngine(seed)
-			n := MustNode(eng, 0, opts)
+			n := MustNode(eng.NewHandle(0), opts)
 			n.Start()
 			rng := eng.CounterRand("stress")
 
@@ -50,7 +50,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 						th.Run(rng.Duration(sim.Millisecond), func() {
 							th.Block(loop)
 							// external wake after a random delay
-							eng.After(rng.Duration(5*sim.Millisecond)+1, func() {
+							n.Sched().After(rng.Duration(5*sim.Millisecond)+1, func() {
 								if th.State() == StateBlocked {
 									th.Wakeup()
 								}
@@ -59,7 +59,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 					default:
 						th.Run(rng.Duration(sim.Millisecond), func() {
 							th.SpinWait(loop)
-							eng.After(rng.Duration(2*sim.Millisecond)+1, func() {
+							n.Sched().After(rng.Duration(2*sim.Millisecond)+1, func() {
 								if th.Spinning() {
 									th.Signal()
 								}
@@ -74,7 +74,7 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 				at := rng.Duration(200 * sim.Millisecond)
 				victim := threads[rng.Intn(len(threads))]
 				p := Priority(20 + rng.Intn(100))
-				eng.At(at, func() {
+				n.Sched().At(at, func() {
 					if victim.State() != StateExited {
 						victim.SetPriority(p)
 					}

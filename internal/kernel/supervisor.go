@@ -38,16 +38,16 @@ func NewSupervisor(n *Node, checkPeriod, restartDelay sim.Time) *Supervisor {
 		panic("kernel: Supervisor needs positive checkPeriod and restartDelay")
 	}
 	s := &Supervisor{node: n, restartDelay: restartDelay}
-	eng := n.eng
+	sched := n.sched
 	var scan func()
 	scan = func() {
 		if s.stopped {
 			return
 		}
 		s.scan()
-		eng.After(checkPeriod, scan)
+		sched.After(checkPeriod, scan)
 	}
-	eng.After(checkPeriod, scan)
+	sched.After(checkPeriod, scan)
 	return s
 }
 
@@ -62,7 +62,7 @@ func (s *Supervisor) Watch(th *Thread, respawn func() *Thread) {
 }
 
 func (s *Supervisor) scan() {
-	eng := s.node.eng
+	sched := s.node.sched
 	for _, w := range s.watches {
 		if w.pending || w.th.state != StateExited {
 			continue
@@ -70,7 +70,7 @@ func (s *Supervisor) scan() {
 		w.pending = true
 		w := w
 		died := w.th.exitedAt
-		eng.After(s.restartDelay, func() {
+		sched.After(s.restartDelay, func() {
 			if s.stopped {
 				return
 			}
@@ -78,7 +78,7 @@ func (s *Supervisor) scan() {
 			if nt == nil {
 				return // declined; watch stays pending forever
 			}
-			s.restarts = append(s.restarts, restartRec{at: eng.Now(), recovery: eng.Now() - died})
+			s.restarts = append(s.restarts, restartRec{at: sched.Now(), recovery: sched.Now() - died})
 			w.th = nt
 			w.pending = false
 		})

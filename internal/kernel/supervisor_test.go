@@ -26,7 +26,7 @@ func TestSupervisorRestartsKilledDaemon(t *testing.T) {
 		return spinDaemon(n, "victim")
 	})
 
-	eng.At(20*sim.Millisecond, func() { th.Kill() })
+	n.Sched().At(20*sim.Millisecond, func() { th.Kill() })
 	eng.Run(100 * sim.Millisecond)
 	sup.Stop()
 	eng.Run(200 * sim.Millisecond)
@@ -54,7 +54,7 @@ func TestSupervisorDeclinedRespawnStaysDown(t *testing.T) {
 		asked++
 		return nil // decline: the owning subsystem has shut down
 	})
-	eng.At(10*sim.Millisecond, func() { th.Kill() })
+	n.Sched().At(10*sim.Millisecond, func() { th.Kill() })
 	eng.Run(100 * sim.Millisecond)
 	if asked != 1 {
 		t.Fatalf("declined watch re-asked %d times, want exactly 1", asked)
@@ -71,7 +71,7 @@ func TestSupervisorStopHaltsScanning(t *testing.T) {
 	called := false
 	sup.Watch(th, func() *Thread { called = true; return spinDaemon(n, "victim") })
 	sup.Stop()
-	eng.At(10*sim.Millisecond, func() { th.Kill() })
+	n.Sched().At(10*sim.Millisecond, func() { th.Kill() })
 	eng.Run(100 * sim.Millisecond)
 	if called {
 		t.Fatal("stopped supervisor still respawned a daemon")

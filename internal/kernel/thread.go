@@ -203,7 +203,7 @@ func (t *Thread) runContinuation() {
 // owning CPU's next timer tick when the node quantizes timers (as kernel
 // timer wheels do). then runs once the thread is dispatched again.
 func (t *Thread) Sleep(d sim.Time, then func()) {
-	t.SleepUntil(t.node.eng.Now()+d, then)
+	t.SleepUntil(t.node.sched.Now()+d, then)
 }
 
 // SleepUntil is Sleep with an absolute deadline.
@@ -213,15 +213,15 @@ func (t *Thread) SleepUntil(when sim.Time, then func()) {
 		panic("kernel: Sleep with nil continuation")
 	}
 	n := t.node
-	if when < n.eng.Now() {
-		when = n.eng.Now()
+	if when < n.sched.Now() {
+		when = n.sched.Now()
 	}
 	wake := n.timerFireTime(t, when)
 	t.cont = then
 	t.state = StateSleeping
 	n.trace(EvSleep, t, int64(wake)) // trace before release so the CPU is known
 	n.releaseCPU(t)
-	t.wakeEv = n.eng.At(wake, t.wakeFn)
+	t.wakeEv = n.sched.At(wake, t.wakeFn)
 }
 
 // Block releases the CPU until another component calls Wakeup. then runs
@@ -257,7 +257,7 @@ func (t *Thread) SpinWait(then func()) {
 	// just finished.
 	n := t.node
 	c := t.cpu
-	c.busySince = n.eng.Now()
+	c.busySince = n.sched.Now()
 	c.stolenMark = c.stolen
 }
 
@@ -300,7 +300,7 @@ func (t *Thread) Wakeup() {
 func (t *Thread) Exit() {
 	t.transition("Exit")
 	t.state = StateExited
-	t.exitedAt = t.node.eng.Now()
+	t.exitedAt = t.node.sched.Now()
 	t.node.trace(EvExit, t, 0) // trace before release so the CPU is known
 	t.node.releaseCPU(t)
 }
@@ -326,7 +326,7 @@ func (t *Thread) Kill() {
 		return
 	case StateRunning:
 		if t.burstEnd != nil {
-			n.eng.Cancel(t.burstEnd)
+			n.sched.Engine().Cancel(t.burstEnd)
 			t.burstEnd = nil
 		}
 		t.state = StateExited
@@ -337,14 +337,14 @@ func (t *Thread) Kill() {
 		t.state = StateExited
 	case StateSleeping:
 		if t.wakeEv != nil {
-			n.eng.Cancel(t.wakeEv)
+			n.sched.Engine().Cancel(t.wakeEv)
 			t.wakeEv = nil
 		}
 		t.state = StateExited
 	default:
 		t.state = StateExited
 	}
-	t.exitedAt = n.eng.Now()
+	t.exitedAt = n.sched.Now()
 	t.cont = nil
 	if t.cpu == nil {
 		n.trace(EvExit, t, 1)

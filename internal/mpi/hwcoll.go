@@ -18,9 +18,10 @@ type hwOp struct {
 	sum   float64
 }
 
-// hwContribute registers one rank's contribution; when the last arrives the
-// switch fans the result out to every rank after the combine latency.
-func (j *Job) hwContribute(tag int, v float64) {
+// hwContribute registers rank r's contribution; when the last arrives the
+// switch fans the result out to every rank after the combine latency,
+// scheduled through the last contributor's node.
+func (j *Job) hwContribute(r *Rank, tag int, v float64) {
 	if j.hw == nil {
 		j.hw = map[int]*hwOp{}
 	}
@@ -38,7 +39,7 @@ func (j *Job) hwContribute(tag int, v float64) {
 	result := op.sum
 	lat := j.cfg.HWCollectiveLatency
 	key := msgKey{src: hwSource, tag: tag}
-	j.eng.After(lat, func() {
+	r.node.Sched().After(lat, func() {
 		for i := range j.ranks {
 			j.ranks[i].deliver(key, message{value: result, bytes: j.cfg.ElemBytes})
 		}
@@ -50,7 +51,7 @@ func (j *Job) hwContribute(tag int, v float64) {
 func (r *Rank) hwAllreduce(value float64, then func(sum float64)) {
 	base := r.nextTagBase()
 	r.thread.Run(r.job.cfg.SendOverhead, func() {
-		r.job.hwContribute(base, value)
+		r.job.hwContribute(r, base, value)
 		r.Recv(hwSource, base, then)
 	})
 }

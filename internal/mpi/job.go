@@ -155,7 +155,6 @@ type FineGrainRegistry interface {
 // captures one — are created only at Launch, after which the array is
 // frozen (AddRank panics).
 type Job struct {
-	eng      *sim.Engine
 	fabric   *network.Fabric
 	cfg      Config
 	ranks    []Rank
@@ -226,16 +225,16 @@ func (r *Rank) newDelivery(target *Rank, key msgKey, msg message) *delivery {
 }
 
 // NewJob creates an empty job. Add ranks with AddRank, then Launch.
-func NewJob(eng *sim.Engine, fabric *network.Fabric, cfg Config, registry Registry) (*Job, error) {
+func NewJob(fabric *network.Fabric, cfg Config, registry Registry) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Job{eng: eng, fabric: fabric, cfg: cfg, registry: registry}, nil
+	return &Job{fabric: fabric, cfg: cfg, registry: registry}, nil
 }
 
 // MustJob is NewJob for known-valid configurations.
-func MustJob(eng *sim.Engine, fabric *network.Fabric, cfg Config, registry Registry) *Job {
-	j, err := NewJob(eng, fabric, cfg, registry)
+func MustJob(fabric *network.Fabric, cfg Config, registry Registry) *Job {
+	j, err := NewJob(fabric, cfg, registry)
 	if err != nil {
 		panic(err)
 	}
@@ -435,13 +434,14 @@ func (j *Job) FailRanksOn(n *kernel.Node, lost bool) {
 	}
 }
 
-// abortFrom broadcasts a collective abort: every rank is killed
-// DetectLatency after the fatal loss observed on engine src. Aborts are not
+// abortFrom broadcasts a collective abort from the node whose handle is
+// src: every rank is killed DetectLatency after the fatal loss it
+// observed. Aborts are not
 // deduplicated — fail is idempotent, and each rank's effective death time is
 // the minimum over broadcast arrivals, which is the same on every engine
 // core regardless of shard interleaving (a CAS-style "first abort wins"
 // guard would not be).
-func (j *Job) abortFrom(src *sim.Engine) {
+func (j *Job) abortFrom(src *sim.Handle) {
 	when := src.Now() + j.faults.DetectLatency()
 	for i := range j.ranks {
 		r := &j.ranks[i]

@@ -15,28 +15,25 @@ import (
 func testCluster(t testing.TB, seed int64, size, ncpu int, cfg Config) (*sim.Engine, *Job) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	nNodes := (size + ncpu - 1) / ncpu
-	fabric := serialFabric(eng, nNodes, network.DefaultConfig())
-	nodes := make([]*kernel.Node, nNodes)
-	opts := kernel.VanillaOptions(ncpu)
-	for i := range nodes {
-		nodes[i] = kernel.MustNode(eng, i, opts)
-		nodes[i].Start()
-	}
-	job := MustJob(eng, fabric, cfg, nil)
+	nodes, fabric := serialNodes(eng, (size+ncpu-1)/ncpu, kernel.VanillaOptions(ncpu), network.DefaultConfig())
+	job := MustJob(fabric, cfg, nil)
 	for i := 0; i < size; i++ {
 		job.AddRank(nodes[i/ncpu], i%ncpu)
 	}
 	return eng, job
 }
 
-// serialFabric builds a fabric that puts nodes 0..n-1 on eng.
-func serialFabric(eng *sim.Engine, n int, cfg network.Config) *network.Fabric {
-	engines := make([]*sim.Engine, n)
-	for i := range engines {
-		engines[i] = eng
+// serialNodes builds n started nodes on eng and a fabric over their
+// handles.
+func serialNodes(eng *sim.Engine, n int, opts kernel.Options, cfg network.Config) ([]*kernel.Node, *network.Fabric) {
+	nodes := make([]*kernel.Node, n)
+	handles := make([]*sim.Handle, n)
+	for i := range nodes {
+		handles[i] = eng.NewHandle(i)
+		nodes[i] = kernel.MustNode(handles[i], opts)
+		nodes[i].Start()
 	}
-	return network.MustFabric(engines, cfg)
+	return nodes, network.MustFabric(handles, cfg)
 }
 
 // runToCompletion drives the engine until the job finishes, then stops it so
@@ -278,11 +275,10 @@ func (f *fakeRegistry) AttachProcess(_ *kernel.Node, _ int)     { f.attached++ }
 
 func TestRegistryProtocol(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fabric := serialFabric(eng, 1, network.DefaultConfig())
-	node := kernel.MustNode(eng, 0, kernel.VanillaOptions(4))
-	node.Start()
+	nodes, fabric := serialNodes(eng, 1, kernel.VanillaOptions(4), network.DefaultConfig())
+	node := nodes[0]
 	reg := &fakeRegistry{}
-	job := MustJob(eng, fabric, DefaultConfig(), reg)
+	job := MustJob(fabric, DefaultConfig(), reg)
 	for i := 0; i < 4; i++ {
 		job.AddRank(node, i)
 	}
@@ -308,10 +304,9 @@ func TestRegistryProtocol(t *testing.T) {
 
 func TestJobLifecyclePanics(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fabric := serialFabric(eng, 1, network.DefaultConfig())
-	node := kernel.MustNode(eng, 0, kernel.VanillaOptions(2))
-	node.Start()
-	job := MustJob(eng, fabric, quietConfig(), nil)
+	nodes, fabric := serialNodes(eng, 1, kernel.VanillaOptions(2), network.DefaultConfig())
+	node := nodes[0]
+	job := MustJob(fabric, quietConfig(), nil)
 	job.AddRank(node, 0)
 	job.Launch(func(r *Rank) { r.Done() })
 	func() {

@@ -146,7 +146,7 @@ func (r *Rank) bindHotPaths() {
 // after the detection latency. Only called when a fault model is installed.
 func (r *Rank) trySend(target *Rank, bytes int, idx uint64, deliver func()) {
 	j := r.job
-	eng := r.node.Engine()
+	sched := r.node.Sched()
 	attempt := uint64(0)
 	var attemptFn func()
 	attemptFn = func() {
@@ -156,18 +156,18 @@ func (r *Rank) trySend(target *Rank, bytes int, idx uint64, deliver func()) {
 		if attempt > 0 {
 			r.retries++ // counted when made, not when scheduled
 		}
-		if !j.faults.DropMessage(eng.Now(), r.node.ID(), target.node.ID(), r.id, idx, attempt) {
+		if !j.faults.DropMessage(sched.Now(), r.node.ID(), target.node.ID(), r.id, idx, attempt) {
 			j.fabric.Send(r.node.ID(), target.node.ID(), bytes, deliver)
 			return
 		}
 		j.fabric.Drop(r.node.ID(), target.node.ID(), bytes)
 		r.dropped++
 		if attempt >= uint64(j.cfg.SendRetries) {
-			j.abortFrom(eng)
+			j.abortFrom(sched)
 			return
 		}
 		attempt++
-		eng.After(j.cfg.SendTimeout<<(attempt-1), attemptFn)
+		sched.After(j.cfg.SendTimeout<<(attempt-1), attemptFn)
 	}
 	attemptFn()
 }

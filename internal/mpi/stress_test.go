@@ -21,15 +21,8 @@ func jitterCluster(t *testing.T, seed int64, size, ncpu int, cfg Config) (*sim.E
 		BytesPerSecond: 1e8,
 		Jitter:         50 * sim.Microsecond, // 10x the base latency
 	}
-	nNodes := (size + ncpu - 1) / ncpu
-	fabric := serialFabric(eng, nNodes, net)
-	opts := kernel.VanillaOptions(ncpu)
-	nodes := make([]*kernel.Node, nNodes)
-	for i := range nodes {
-		nodes[i] = kernel.MustNode(eng, i, opts)
-		nodes[i].Start()
-	}
-	job := MustJob(eng, fabric, cfg, nil)
+	nodes, fabric := serialNodes(eng, (size+ncpu-1)/ncpu, kernel.VanillaOptions(ncpu), net)
+	job := MustJob(fabric, cfg, nil)
 	for i := 0; i < size; i++ {
 		job.AddRank(nodes[i/ncpu], i%ncpu)
 	}
@@ -123,12 +116,11 @@ func TestPollModeHoldsCPUWhileWaiting(t *testing.T) {
 // concurrently (separate rank spaces must not interfere).
 func TestManyOutstandingSmallJobs(t *testing.T) {
 	eng := sim.NewEngine(8)
-	fabric := serialFabric(eng, 1, network.DefaultConfig())
-	node := kernel.MustNode(eng, 0, kernel.VanillaOptions(16))
-	node.Start()
+	nodes, fabric := serialNodes(eng, 1, kernel.VanillaOptions(16), network.DefaultConfig())
+	node := nodes[0]
 	done := 0
 	for j := 0; j < 4; j++ {
-		job := MustJob(eng, fabric, quietConfig(), nil)
+		job := MustJob(fabric, quietConfig(), nil)
 		for i := 0; i < 4; i++ {
 			job.AddRank(node, j*4+i)
 		}

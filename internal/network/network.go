@@ -87,10 +87,11 @@ type Fabric struct {
 	cfg Config
 	src *sim.Source
 
-	// engines[i] carries node i's sense of time: the one serial engine for
-	// every node, or node i's shard. Counters are indexed by source node so
-	// concurrent shards never write the same word; Stats sums them.
-	engines  []*sim.Engine
+	// nodes[i] is node i's scheduling handle, on the one serial engine or
+	// on node i's shard: a message node i sends leaves on its clock under
+	// its key. Counters are indexed by source node so concurrent shards never
+	// write the same word; Stats sums them.
+	nodes    []*sim.Handle
 	nodeStat []Stats
 
 	// jitterIdx[src][dst] counts inter-node messages per ordered pair; the
@@ -101,31 +102,32 @@ type Fabric struct {
 	jitterIdx [][]uint64
 }
 
-// NewFabric builds a fabric over the node-to-engine table: node i's
-// messages originate on engines[i]'s clock, and a delivery to another
-// engine is staged through their shard group. Jitter is shard-safe: each
-// message's jitter is keyed by (src, dst, per-pair message index), so the
-// values are independent of the order in which shards execute their sends.
-func NewFabric(engines []*sim.Engine, cfg Config) (*Fabric, error) {
+// NewFabric builds a fabric over the nodes' scheduling handles: node i's
+// messages leave through nodes[i], on its engine's clock, and a delivery to
+// another engine is staged through their shard group. Jitter is
+// shard-safe: each message's jitter is keyed by (src, dst, per-pair message
+// index), so the values are independent of the order in which shards
+// execute their sends.
+func NewFabric(nodes []*sim.Handle, cfg Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(engines) == 0 {
+	if len(nodes) == 0 {
 		return nil, fmt.Errorf("network: a fabric needs at least one node")
 	}
-	f := &Fabric{cfg: cfg, src: engines[0].Source(), engines: engines, nodeStat: make([]Stats, len(engines))}
+	f := &Fabric{cfg: cfg, src: nodes[0].Engine().Source(), nodes: nodes, nodeStat: make([]Stats, len(nodes))}
 	if cfg.Jitter > 0 {
-		f.jitterIdx = make([][]uint64, len(engines))
+		f.jitterIdx = make([][]uint64, len(nodes))
 		for i := range f.jitterIdx {
-			f.jitterIdx[i] = make([]uint64, len(engines))
+			f.jitterIdx[i] = make([]uint64, len(nodes))
 		}
 	}
 	return f, nil
 }
 
 // MustFabric is NewFabric for static configurations.
-func MustFabric(engines []*sim.Engine, cfg Config) *Fabric {
-	f, err := NewFabric(engines, cfg)
+func MustFabric(nodes []*sim.Handle, cfg Config) *Fabric {
+	f, err := NewFabric(nodes, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -165,7 +167,7 @@ func (f *Fabric) DeliveryTime(srcNode, dstNode, size int) sim.Time {
 	if f.cfg.BytesPerSecond > 0 && size > 0 {
 		lat += sim.Time(float64(size) / f.cfg.BytesPerSecond * float64(sim.Second))
 	}
-	return f.engines[srcNode].Now() + lat
+	return f.nodes[srcNode].Now() + lat
 }
 
 // Send schedules deliver to run when a size-byte message from srcNode
@@ -183,8 +185,8 @@ func (f *Fabric) Send(srcNode, dstNode, size int, deliver func()) {
 	if srcNode == dstNode {
 		st.LocalMessages++
 	}
-	src, dst := f.engines[srcNode], f.engines[dstNode]
-	if src != dst {
+	src, dst := f.nodes[srcNode], f.nodes[dstNode].Engine()
+	if src.Engine() != dst {
 		st.CrossShardSends++
 	}
 	when := f.DeliveryTime(srcNode, dstNode, size)

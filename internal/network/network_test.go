@@ -7,10 +7,17 @@ import (
 	"coschedsim/internal/sim"
 )
 
-// serial returns a node-to-engine table that puts four nodes on eng.
-func serial(eng *sim.Engine) []*sim.Engine {
-	return []*sim.Engine{eng, eng, eng, eng}
+// handles returns a handle table that puts node i on engines[i].
+func handles(engines ...*sim.Engine) []*sim.Handle {
+	hs := make([]*sim.Handle, len(engines))
+	for i, e := range engines {
+		hs[i] = e.NewHandle(i)
+	}
+	return hs
 }
+
+// serial returns a handle table that puts four nodes on eng.
+func serial(eng *sim.Engine) []*sim.Handle { return handles(eng, eng, eng, eng) }
 
 func testFabric(t *testing.T, cfg Config) (*sim.Engine, *Fabric) {
 	t.Helper()
@@ -114,13 +121,14 @@ func TestShardedTable(t *testing.T) {
 	const lat = 5 * sim.Microsecond
 	g := sim.NewShardGroup(1, 2, 1, lat)
 	a, b := g.Shard(0), g.Shard(1)
-	f := MustFabric([]*sim.Engine{a, a, b}, Config{Latency: lat, LocalLatency: sim.Microsecond})
+	hs := handles(a, a, b)
+	f := MustFabric(hs, Config{Latency: lat, LocalLatency: sim.Microsecond})
 	var cross, same sim.Time
-	a.At(sim.Microsecond, func() {
+	hs[0].At(sim.Microsecond, func() {
 		f.Send(0, 2, 8, func() { cross = b.Now() })
 		f.Send(0, 1, 8, func() { same = a.Now() })
 	})
-	b.At(sim.Microsecond, func() { f.Send(2, 2, 4, func() {}) })
+	hs[2].At(sim.Microsecond, func() { f.Send(2, 2, 4, func() {}) })
 	g.RunUntilIdle()
 	if cross != sim.Microsecond+lat || same != sim.Microsecond+lat {
 		t.Fatalf("deliveries at %v (cross-shard) and %v (same shard), want %v", cross, same, sim.Microsecond+lat)
@@ -182,7 +190,7 @@ func TestSwitchClockGlobal(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c1 := NewSwitchClock(eng)
 	c2 := NewSwitchClock(eng)
-	eng.At(5*sim.Second, func() {
+	eng.NewHandle(0).At(5*sim.Second, func() {
 		if c1.Now() != c2.Now() || c1.Now() != 5*sim.Second {
 			t.Errorf("switch clocks disagree: %v vs %v", c1.Now(), c2.Now())
 		}

@@ -274,8 +274,8 @@ func (s *Set) launchCron(spec CronSpec) {
 // to the next arrival, from the source's own counter stream keyed by (node,
 // source index).
 func (s *Set) launchInterrupts(spec InterruptSpec, idx int) {
-	eng := s.node.Engine()
-	rng := eng.CounterRand("noise-irq", uint64(s.node.ID()), uint64(idx))
+	sched := s.node.Sched()
+	rng := sched.Engine().CounterRand("noise-irq", uint64(s.node.ID()), uint64(idx))
 	// nextGap keeps the gap away from zero so the event horizon advances.
 	nextGap := func() sim.Time {
 		if gap := rng.Exp(spec.MeanGap); gap > 0 {
@@ -289,9 +289,9 @@ func (s *Set) launchInterrupts(spec InterruptSpec, idx int) {
 			return
 		}
 		s.node.InjectInterrupt(rng.Intn(s.node.NumCPUs()), spec.HandlerCost)
-		eng.After(nextGap(), arrive)
+		sched.After(nextGap(), arrive)
 	}
-	eng.After(nextGap(), arrive)
+	sched.After(nextGap(), arrive)
 }
 
 // Stop halts all noise immediately: daemon threads are killed in whatever

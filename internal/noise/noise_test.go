@@ -10,7 +10,7 @@ import (
 func quietNode(t *testing.T, seed int64, ncpu int) (*sim.Engine, *kernel.Node) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	n := kernel.MustNode(eng, 0, kernel.VanillaOptions(ncpu))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.VanillaOptions(ncpu))
 	n.Start()
 	return eng, n
 }
@@ -174,7 +174,7 @@ func TestDaemonPlacementRoundRobin(t *testing.T) {
 
 func TestDaemonPlacementGlobalUnderPrototype(t *testing.T) {
 	eng := sim.NewEngine(1)
-	n := kernel.MustNode(eng, 0, kernel.PrototypeOptions(4))
+	n := kernel.MustNode(eng.NewHandle(0), kernel.PrototypeOptions(4))
 	n.Start()
 	s := MustAttach(n, Config{Daemons: StandardDaemons()})
 	for _, th := range s.Threads() {

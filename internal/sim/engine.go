@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 )
 
-// Event is a scheduled callback. Events are created through Engine.At or
-// Engine.After and may be canceled before they fire. Periodic work is a
+// Event is a scheduled callback. Events are created through a Handle's At
+// or After and may be canceled before they fire. Periodic work is a
 // callback that schedules its next firing with At: Step recycles a fired
 // record before it runs the callback, so the re-arm reuses the record and
 // allocates nothing. The zero Event is not usable.
@@ -19,11 +20,12 @@ import (
 type Event struct {
 	fn func()
 
-	// gen is the event's lease generation. Queue entries are stamped with
-	// the generation current when they were inserted; cancellation and
-	// rescheduling are lazy (O(1)) — they bump gen, and stale entries are
-	// recognized and dropped when the queue reaches them.
-	gen      uint64
+	// key is the key of the event's current queue entry. Every schedule
+	// draws a key no other schedule on the engine draws (see Handle), so
+	// cancellation and rescheduling are lazy (O(1)): they leave the old entry
+	// in place, and an entry whose key is no longer its event's is dropped
+	// when the queue reaches it.
+	key      uint64
 	pending  bool // scheduled and not yet fired or canceled
 	canceled bool
 	when     Time
@@ -36,43 +38,46 @@ func (e *Event) When() Time { return e.when }
 func (e *Event) Canceled() bool { return e.canceled }
 
 // entry is one queue cell: comparisons touch only this contiguous struct,
-// never the *Event, which keeps the hot ordering loops cache-friendly. An
-// entry is live while its generation matches the event's current lease;
-// canceled or rescheduled leases leave stale entries behind that are
-// skipped when encountered. seq carries the time the entry was scheduled
-// and its order among that instant's schedules (see seqShift), so the
-// entry stays 32 bytes.
+// never the *Event, which keeps the hot ordering loops cache-friendly.
+// Entries fire in order of (when, sched, key): the time due, the time
+// scheduled, and the schedule's key, which names the scheduling node above
+// that node's own order (see Handle). An entry is live while its key is its
+// event's; canceled or rescheduled leases leave stale entries behind that
+// are skipped when encountered.
 type entry struct {
-	when Time
-	seq  uint64
-	ev   *Event
-	gen  uint64
+	when  Time
+	sched Time
+	key   uint64
+	ev    *Event
 }
 
 func (a entry) before(b entry) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
-	return a.seq < b.seq
+	if a.sched != b.sched {
+		return a.sched < b.sched
+	}
+	return a.key < b.key
 }
 
 // compare is before as a three-way comparison, for slices.SortFunc.
 func (a entry) compare(b entry) int {
-	if a.before(b) {
-		return -1
+	if c := cmp.Compare(a.when, b.when); c != 0 {
+		return c
 	}
-	if b.before(a) {
-		return 1
+	if c := cmp.Compare(a.sched, b.sched); c != 0 {
+		return c
 	}
-	return 0
+	return cmp.Compare(a.key, b.key)
 }
 
 // live reports whether the entry still represents its event's current lease.
 func (en entry) live() bool {
-	return en.ev.pending && en.gen == en.ev.gen
+	return en.ev.pending && en.key == en.ev.key
 }
 
-// entryHeap is a 4-ary min-heap of entries ordered by (when, seq). It does
+// entryHeap is a 4-ary min-heap of entries in entry.before order. It does
 // no position tracking: removal happens only at the top, and dead entries
 // are filtered by the caller via entry.live.
 type entryHeap []entry
@@ -141,7 +146,7 @@ type Core int
 const (
 	// CoreWheel is the hierarchical timer wheel (the default): O(1)
 	// schedule, cancel and reschedule, with each near slot sorted once when
-	// the clock reaches it, which preserves exact (when, seq) firing order.
+	// the clock reaches it, which preserves the exact entry.before order.
 	CoreWheel Core = iota
 	// CoreHeap is the single 4-ary heap the simulator originally shipped
 	// with. It is kept as the reference implementation: differential tests
@@ -156,18 +161,12 @@ const (
 // ShardGroup's shards are always wheels.
 var DefaultCore = CoreWheel
 
-// An entry's seq packs the time it was scheduled, in nanoseconds, above a
-// seqShift-bit counter, so entries due at the same instant sort by (time
-// scheduled, order scheduled). An engine numbers its own schedules of one
-// instant from the counter's lower half; a ShardGroup numbers the
-// cross-shard deliveries it merges from the upper half (mergedSeq).
-const (
-	seqShift  = 20
-	mergedSeq = 1 << (seqShift - 1)
-	// seqTimeLimit is the first time the packing cannot hold: 2^44 ns,
-	// about 4.89 hours.
-	seqTimeLimit = Time(1) << (64 - seqShift)
-)
+// A schedule's key packs the scheduling node's id above that node's own
+// order, a count orderBits wide of the schedules it has made.
+const orderBits = 44
+
+// MaxNodes bounds the node ids a Handle takes: ids lie in [0, MaxNodes).
+const MaxNodes = 1 << (64 - orderBits)
 
 // eventPoolCap bounds the free list of recycled Event records. Beyond this
 // the records are left to the garbage collector; the cap only exists to
@@ -178,33 +177,27 @@ const eventPoolCap = 4096
 // concurrent use; the whole simulation is single-goroutine by design so that
 // runs are deterministic.
 //
-// The ordering contract is the same on every Core: events fire in order of
-// (time due, time scheduled, order scheduled). On one engine the order
-// scheduled is the order of the At, After and Reschedule calls. A
-// ShardGroup keeps the contract across shards by ordering each cross-shard
-// delivery as scheduled at its send time, so it fires among the
-// destination's own events where a serial engine fires it. One
-// tie stays open: events that two shards schedule at the same instant, due
-// at the same instant. A serial engine orders them by global execution
-// order, which a shard cannot see; a shard fires its own events first, then
-// the deliveries in order of source shard and staging.
+// Every Core fires events in order of one key: (time due, time scheduled,
+// scheduling node, that node's order). Every schedule goes through the
+// Handle of the node it is made for, which numbers that node's schedules in
+// the order it makes them. A serial engine and the shards of a ShardGroup
+// compute every key from the same facts, and a cross-shard delivery carries
+// its sender's key, so a sharded run fires each shard's events in the
+// serial engine's order, ties included.
 //
-// The numbering has limits (see seqShift), and a ShardGroup panics past
-// them: simulated time below 2^44 ns (about 4.89 hours), at most 2^19
-// events scheduled at one instant on one shard, and at most 2^19
-// deliveries merged into one shard at one barrier. A serial engine's order
-// needs none of them, since its sequence number only grows; past 2^44 ns
-// the number can wrap, at the earliest 2^20 schedules after one made at
-// 2^44-1 ns.
+// A node numbers up to 2^44-1 schedules (see orderBits): at 10^8
+// schedules a second, more than two days of one node's work. Past that its
+// order would carry into the id.
 type Engine struct {
 	now       Time
-	seq       uint64 // the last sequence number drawn (nextSeq)
 	fired     uint64
 	scheduled uint64
 	live      int // pending events (excludes lazily-canceled entries)
 	stopped   bool
 	rng       *Source
 	free      []*Event
+
+	ids *[]uint64 // bit i is set once NewHandle issues node id i; shared by a ShardGroup's shards
 
 	useHeap bool
 	heap    entryHeap // CoreHeap's single queue
@@ -262,8 +255,8 @@ func (e *Engine) CounterRand(name string, ids ...uint64) CounterRand {
 func (e *Engine) Source() *Source { return e.rng }
 
 // lease takes an Event record from the pool (or allocates one) and starts a
-// new generation for it.
-func (e *Engine) lease(t Time) *Event {
+// new lease on it under key.
+func (e *Engine) lease(t Time, key uint64) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -272,15 +265,14 @@ func (e *Engine) lease(t Time) *Event {
 	} else {
 		ev = &Event{}
 	}
-	ev.gen++
+	ev.key = key
 	ev.pending = true
 	ev.canceled = false
 	ev.when = t
 	return ev
 }
 
-// recycle returns a no-longer-pending Event record to the pool. Its gen is
-// preserved so stale queue entries keep mismatching.
+// recycle returns a no-longer-pending Event record to the pool.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	if len(e.free) < eventPoolCap {
@@ -297,17 +289,8 @@ func (e *Engine) who() string {
 	return fmt.Sprintf("sim: shard %d", e.shard)
 }
 
-// nextSeq advances seq to the number of an entry scheduled now: one past
-// the last, and at least now's packed time. On one engine it only grows.
-// It leaves the number in e.seq rather than returning it, which keeps At
-// within the inliner's budget.
-func (e *Engine) nextSeq() {
-	e.seq = max(e.seq+1, uint64(e.now)<<seqShift)
-}
-
-// enqueue inserts an entry for ev at time t with sequence number seq.
-func (e *Engine) enqueue(ev *Event, t Time, seq uint64) {
-	en := entry{when: t, seq: seq, ev: ev, gen: ev.gen}
+// enqueue inserts en into the queue.
+func (e *Engine) enqueue(en entry) {
 	if e.useHeap {
 		e.heap.push(en)
 	} else {
@@ -315,37 +298,22 @@ func (e *Engine) enqueue(ev *Event, t Time, seq uint64) {
 	}
 }
 
-// At schedules fn to run at time t. Scheduling in the past (t < Now) panics:
-// it always indicates a model bug, and silently reordering time would
-// destroy causality.
-func (e *Engine) At(t Time, fn func()) *Event {
-	e.nextSeq()
-	return e.at(t, e.seq, fn)
-}
-
-// at is At with the entry's sequence number given. A ShardGroup merges
-// cross-shard deliveries through it.
-func (e *Engine) at(t Time, seq uint64, fn func()) *Event {
+// at schedules fn at time t as scheduled at sched under key. Handles
+// schedule through it, and a ShardGroup merges cross-shard deliveries
+// through it.
+func (e *Engine) at(t, sched Time, key uint64, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At with nil fn")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("%s: scheduling at %v before now %v", e.who(), t, e.now))
 	}
-	ev := e.lease(t)
+	ev := e.lease(t, key)
 	ev.fn = fn
-	e.enqueue(ev, t, seq)
+	e.enqueue(entry{when: t, sched: sched, key: key, ev: ev})
 	e.scheduled++
 	e.live++
 	return ev
-}
-
-// After schedules fn to run d from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: After with negative duration %v", d))
-	}
-	return e.At(e.now+d, fn)
 }
 
 // Cancel removes ev from the queue and recycles the record. Cancellation is
@@ -359,26 +327,8 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	ev.pending = false
 	ev.canceled = true
-	ev.gen++ // invalidate the queued entry
 	e.live--
 	e.recycle(ev)
-}
-
-// Reschedule moves a pending event to a new time, preserving identity. It
-// is equivalent to Cancel + At but cheaper and keeps the same *Event.
-// Panics if the event already fired or was canceled, or if t is in the
-// past.
-func (e *Engine) Reschedule(ev *Event, t Time) {
-	if ev == nil || !ev.pending {
-		panic("sim: Reschedule of dead event")
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("%s: rescheduling an event due at %v to %v, before now %v", e.who(), ev.when, t, e.now))
-	}
-	ev.gen++ // the old entry goes stale in place
-	ev.when = t
-	e.nextSeq()
-	e.enqueue(ev, t, e.seq)
 }
 
 // popNext removes and returns the earliest live entry.
@@ -509,13 +459,6 @@ func (e *Engine) runWindow(end Time) int {
 	e.windowEnd = end
 	n := 0
 	for !e.stopped {
-		// The shard's own schedules of an instant must number below the
-		// deliveries sent at that instant. The clock moves only in Step, so
-		// checking here covers every instant the shard schedules at.
-		if e.seq >= uint64(e.now)<<seqShift|mergedSeq {
-			panic(fmt.Sprintf("sim: shard %d scheduled more events at %v than the %d it can order at one instant",
-				e.shard, e.now, mergedSeq))
-		}
 		when, ok := e.peekNext(end)
 		if !ok || when >= end {
 			break
@@ -527,30 +470,106 @@ func (e *Engine) runWindow(end Time) int {
 	return n
 }
 
-// ScheduleOn schedules fn at time t on dst, which may be a different shard
-// of the same ShardGroup. For a standalone destination or dst == e it is
-// exactly dst.At. Across shards the event is staged in this shard's outbox
-// and merged into dst's queue at the window barrier, ordered as scheduled at
-// its send time (see Engine); t must lie at or past
-// the current window's end (the conservative lookahead guarantee), which
-// holds for anything scheduled at least the group lookahead in the future.
-func (e *Engine) ScheduleOn(dst *Engine, t Time, fn func()) {
-	if dst == e || e.group == nil || dst.group == nil {
-		dst.At(t, fn)
+// Handle schedules on an engine for one node. It keys each schedule with
+// the node's id above the node's own order, so the events a node schedules
+// at one instant for one instant fire in the order it scheduled them, and
+// those of different nodes in order of node id. A serial engine and a shard
+// draw the same keys, since a node's order counts only its own schedules.
+// Each node has one handle per engine, made once by NewHandle, and the code
+// that runs for the node schedules through it. A handle is used only by its
+// engine's goroutine.
+type Handle struct {
+	eng *Engine
+	key uint64 // the node id above the order of its last schedule
+}
+
+// NewHandle returns the scheduling handle on e for the node with the given
+// id, which must lie in [0, MaxNodes). It panics on an id it has issued
+// before on e or, for a shard, on any shard of its group: two handles for
+// one node would draw equal keys, and a record re-leased under a stale
+// entry's key would revive that entry. Make handles before the run starts.
+func (e *Engine) NewHandle(node int) *Handle {
+	if node < 0 || node >= MaxNodes {
+		panic(fmt.Sprintf("sim: node id %d outside [0, %d)", node, MaxNodes))
+	}
+	if e.ids == nil {
+		e.ids = new([]uint64)
+	}
+	ids, w, bit := e.ids, node>>6, uint64(1)<<(node&63)
+	if w >= len(*ids) {
+		*ids = append(*ids, make([]uint64, w+1-len(*ids))...)
+	}
+	if (*ids)[w]&bit != 0 {
+		panic(fmt.Sprintf("%s: a second handle for node %d", e.who(), node))
+	}
+	(*ids)[w] |= bit
+	return &Handle{eng: e, key: uint64(node) << orderBits}
+}
+
+// Engine returns the engine h schedules on.
+func (h *Handle) Engine() *Engine { return h.eng }
+
+// Node returns the id of the node h schedules for.
+func (h *Handle) Node() int { return int(h.key >> orderBits) }
+
+// Now reports the current simulated time of h's engine.
+func (h *Handle) Now() Time { return h.eng.now }
+
+// At schedules fn to run at time t. Scheduling in the past (t < Now)
+// panics: it always indicates a model bug, and silently reordering time
+// would destroy causality.
+func (h *Handle) At(t Time, fn func()) *Event {
+	h.key++
+	return h.eng.at(t, h.eng.now, h.key, fn)
+}
+
+// After schedules fn to run d from now. Negative d panics.
+func (h *Handle) After(d Time, fn func()) *Event {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: After with negative duration %v", d))
+	}
+	return h.At(h.eng.now+d, fn)
+}
+
+// Reschedule moves a pending event on h's engine to a new time, preserving
+// identity, keyed as a new schedule of h's node. It is equivalent to Cancel
+// + At but cheaper and keeps the same *Event. Panics if the event already
+// fired or was canceled, or if t is in the past.
+func (h *Handle) Reschedule(ev *Event, t Time) {
+	e := h.eng
+	if ev == nil || !ev.pending {
+		panic("sim: Reschedule of dead event")
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("%s: rescheduling an event due at %v to %v, before now %v", e.who(), ev.when, t, e.now))
+	}
+	h.key++
+	ev.key = h.key // the old entry goes stale in place
+	ev.when = t
+	e.enqueue(entry{when: t, sched: e.now, key: h.key, ev: ev})
+}
+
+// ScheduleOn schedules fn at time t on dst, keyed as At keys it. Outside a
+// window, or for dst on h's own engine, that is dst's queue at once. Inside
+// a window, an event for another shard of the group is staged in this
+// shard's outbox and merged into dst's queue at the window barrier with its
+// send time and key; t must lie at or past the window's end (the
+// conservative lookahead guarantee), which holds for anything scheduled at
+// least the group lookahead in the future.
+func (h *Handle) ScheduleOn(dst *Engine, t Time, fn func()) {
+	e := h.eng
+	if dst == e || e.windowEnd == 0 {
+		h.key++
+		dst.at(t, e.now, h.key, fn)
 		return
 	}
 	if dst.group != e.group {
 		panic("sim: ScheduleOn across different ShardGroups")
 	}
-	if e.windowEnd == 0 {
-		// Between windows (setup, teardown, or the serial coordinator
-		// phase): the destination queue is quiescent, schedule directly.
-		dst.At(t, fn)
-		return
-	}
 	if t < e.windowEnd {
 		panic(fmt.Sprintf("%s: event for shard %d at %v inside the current window (end %v): below the group lookahead",
 			e.who(), dst.shard, t, e.windowEnd))
 	}
-	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, sent: e.now, fn: fn})
+	h.key++
+	e.outbox[dst.shard] = append(e.outbox[dst.shard], crossEntry{when: t, sent: e.now, key: h.key, fn: fn})
 }

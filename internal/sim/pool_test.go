@@ -10,6 +10,7 @@ import (
 // order despite recycling.
 func TestEventPoolReuseCorrectness(t *testing.T) {
 	e := NewEngine(1)
+	h := e.NewHandle(0)
 	const n = 50000
 	fired := make([]bool, n)
 	var schedule func(i int)
@@ -17,7 +18,7 @@ func TestEventPoolReuseCorrectness(t *testing.T) {
 		if i >= n {
 			return
 		}
-		e.After(Time(1+i%7), func() {
+		h.After(Time(1+i%7), func() {
 			if fired[i] {
 				t.Fatalf("event %d fired twice (pool corruption)", i)
 			}
@@ -40,9 +41,10 @@ func TestEventPoolReuseCorrectness(t *testing.T) {
 // keeps its canceled state until that reuse.
 func TestCanceledEventsAreRecycled(t *testing.T) {
 	e := NewEngine(1)
+	h := e.NewHandle(0)
 	recycled := make(map[*Event]bool)
 	for i := 0; i < 100; i++ {
-		ev := e.At(Time(1000+i), func() {})
+		ev := h.At(Time(1000+i), func() {})
 		e.Cancel(ev)
 		if !ev.Canceled() {
 			t.Fatalf("event %d lost its canceled state right after Cancel", i)
@@ -54,7 +56,7 @@ func TestCanceledEventsAreRecycled(t *testing.T) {
 	// under their old lease.
 	reused, fired := 0, 0
 	for i := 0; i < 100; i++ {
-		ev := e.At(Time(1+i), func() { fired++ })
+		ev := h.At(Time(1+i), func() { fired++ })
 		if recycled[ev] {
 			reused++
 		}
@@ -74,6 +76,7 @@ func TestCanceledEventsAreRecycled(t *testing.T) {
 func TestRescheduleStormProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		e := NewEngine(3)
+		h := e.NewHandle(0)
 		type tracked struct {
 			ev    *Event
 			final Time
@@ -86,14 +89,14 @@ func TestRescheduleStormProperty(t *testing.T) {
 			case 0: // schedule
 				i := i
 				tr := &tracked{final: Time(op%997) + 1}
-				tr.ev = e.At(tr.final, func() { fires[i]++ })
+				tr.ev = h.At(tr.final, func() { fires[i]++ })
 				events = append(events, tr)
 			case 1: // reschedule a random live event
 				if len(events) > 0 {
 					tr := events[int(op)%len(events)]
 					if !tr.dead && !tr.ev.Canceled() {
 						tr.final = Time(op%1009) + 1
-						e.Reschedule(tr.ev, tr.final)
+						h.Reschedule(tr.ev, tr.final)
 					}
 				}
 			default: // cancel a random live event
@@ -131,12 +134,13 @@ func TestRescheduleStormProperty(t *testing.T) {
 // time ordering with interleaved operations.
 func TestHeapOrderingUnderRandomChurn(t *testing.T) {
 	e := NewEngine(7)
+	h := e.NewHandle(0)
 	rng := e.CounterRand("churn")
 	var lastFired Time
 	ok := true
 	for i := 0; i < 5000; i++ {
 		d := rng.Duration(1000) + 1
-		e.After(d, func() {
+		h.After(d, func() {
 			if e.Now() < lastFired {
 				ok = false
 			}

@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// crossEntry is one event staged for another shard during a window. Entries
-// accumulate in the source shard's outbox in execution order and are merged
-// into the destination queue at the window barrier.
+// crossEntry is one event staged for another shard during a window, with
+// its sender's key. Entries accumulate in the source shard's outbox and are
+// merged into the destination queue at the window barrier.
 type crossEntry struct {
 	when, sent Time // due and send times
+	key        uint64
 	fn         func()
 }
 
@@ -53,11 +54,10 @@ type GroupStats struct {
 // per-destination outboxes, because
 // the lookahead (the fabric's minimum cross-node delivery latency)
 // guarantees those events land at or beyond the window end. At the barrier
-// the coordinator merges each destination's staged entries, numbering each
-// as scheduled at its send time and those sent at one instant in (source
-// shard, staging order) — so the merged queue state, and therefore the
-// whole simulation, is identical at any worker count, including one, and
-// matches the serial engine's up to the one open tie (see Engine).
+// the coordinator merges each destination's staged entries, each keyed as
+// its sender keyed it (see Engine): the merged queue's order does not
+// depend on the merge's, so the whole simulation is identical at any worker
+// count, including one, and matches the serial engine's.
 type ShardGroup struct {
 	shards    []*Engine
 	lookahead Time
@@ -92,8 +92,10 @@ func NewShardGroup(seed int64, n, workers int, lookahead Time) *ShardGroup {
 	}
 	g := &ShardGroup{lookahead: lookahead, workers: workers, next: make([]Time, n)}
 	g.shards = make([]*Engine, n)
+	ids := new([]uint64)
 	for i := range g.shards {
 		e := NewEngineWithCore(seed, CoreWheel)
+		e.ids = ids
 		e.group = g
 		e.shard = i
 		e.outbox = make([][]crossEntry, n)
@@ -188,16 +190,9 @@ func (g *ShardGroup) nextWindow(until Time) (end Time, ok bool) {
 	if start == Forever || start > until {
 		return 0, false
 	}
-	if start >= seqTimeLimit {
-		panic(fmt.Sprintf("sim: sharded run reached %v; shards order events only before %v", start, seqTimeLimit))
-	}
-	limit := seqTimeLimit
-	if until < limit {
-		limit = until + 1 // Run semantics: fire events with when <= until
-	}
 	end = start + g.lookahead
-	if end <= start || end > limit {
-		end = limit
+	if end <= start || end > until {
+		end = min(until, Forever-1) + 1 // Run semantics: fire events with when <= until
 	}
 	g.active = g.active[:0]
 	for i, w := range g.next {
@@ -302,25 +297,17 @@ func (g *ShardGroup) Run(until Time) uint64 {
 func (g *ShardGroup) RunUntilIdle() uint64 { return g.Run(Forever) }
 
 // mergeOutboxes drains every shard's staged cross-shard events into the
-// destination queues. Each delivery is numbered as scheduled at its send
-// time, after the destination's own schedules of that instant, and those
-// sent at one instant in merge order: source shard, then staging order.
-// The merged queue state is therefore independent of worker scheduling.
+// destination queues, each with its send time and sender's key.
 func (g *ShardGroup) mergeOutboxes() {
 	for di, dst := range g.shards {
-		n := 0 // deliveries merged into dst so far
 		for _, src := range g.shards {
 			ob := src.outbox[di]
-			if n+len(ob) > mergedSeq {
-				panic(fmt.Sprintf("sim: more than %d deliveries into shard %d at one barrier", mergedSeq, di))
-			}
 			for k, ce := range ob {
-				dst.at(ce.when, uint64(ce.sent)<<seqShift|mergedSeq|uint64(n+k), ce.fn)
+				dst.at(ce.when, ce.sent, ce.key, ce.fn)
 				ob[k] = crossEntry{} // release the closure references
 			}
-			n += len(ob)
+			g.stats.CrossShardEvents += uint64(len(ob))
 			src.outbox[di] = ob[:0]
 		}
-		g.stats.CrossShardEvents += uint64(n)
 	}
 }

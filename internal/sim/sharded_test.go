@@ -18,8 +18,8 @@ import (
 // per-shard counter, so the low digits are a globally unique slot. Unique
 // times make the fire order a total order on `when` alone, so a log that
 // shards append to concurrently sorts into one order. They also leave
-// same-time ties untested here: TestShardedDeliveryOrdersBySendTime pins
-// the tie rule.
+// same-time ties untested here: TestShardedTies and
+// TestShardedDeliveryOrdersBySendTime cover them.
 const (
 	diffShards = 5
 	diffM      = 1 << 16
@@ -53,9 +53,9 @@ type diffBook struct {
 }
 
 type diffHarness struct {
-	seed    uint64
-	engines []*Engine // engine carrying each logical shard (may all be one)
-	state   [diffShards]*diffBook
+	seed  uint64
+	nodes []*Handle // each logical shard's handle, on one engine or on its shard
+	state [diffShards]*diffBook
 
 	mu  sync.Mutex
 	log []fireRec
@@ -63,8 +63,8 @@ type diffHarness struct {
 	stopAtID int // fire Stop when this event id fires (-1 = never)
 }
 
-func newDiffHarness(seed uint64, engines []*Engine, stopAtID int) *diffHarness {
-	d := &diffHarness{seed: seed, engines: engines, stopAtID: stopAtID}
+func newDiffHarness(seed uint64, nodes []*Handle, stopAtID int) *diffHarness {
+	d := &diffHarness{seed: seed, nodes: nodes, stopAtID: stopAtID}
 	for s := range d.state {
 		d.state[s] = &diffBook{pending: map[int]*Event{}}
 	}
@@ -92,8 +92,7 @@ func (d *diffHarness) scheduleLocal(shard int, q Time, h uint64) {
 	}
 	id, slot := d.alloc(shard)
 	when := (q+1+Time(h%4))*diffU + slot
-	e := d.engines[shard]
-	ev := e.At(when, func() { d.fired(shard, id) })
+	ev := d.nodes[shard].At(when, func() { d.fired(shard, id) })
 	st := d.state[shard]
 	st.pending[id] = ev
 	st.ids = append(st.ids, id)
@@ -110,11 +109,12 @@ func (d *diffHarness) scheduleCross(src, dst int, q Time, h uint64) {
 	}
 	id, slot := d.alloc(src)
 	when := (q+2+Time(h%4))*diffU + slot
-	d.engines[src].ScheduleOn(d.engines[dst], when, func() { d.fired(dst, id) })
+	d.nodes[src].ScheduleOn(d.nodes[dst].Engine(), when, func() { d.fired(dst, id) })
 }
 
 func (d *diffHarness) fired(shard, id int) {
-	e := d.engines[shard]
+	n := d.nodes[shard]
+	e := n.Engine()
 	now := e.Now()
 	d.mu.Lock()
 	d.log = append(d.log, fireRec{now, shard, id})
@@ -154,7 +154,7 @@ func (d *diffHarness) fired(shard, id int) {
 	} else if (h>>40)%5 == 0 && len(st.ids) > 0 && st.n < diffCap {
 		victim := st.ids[int(h>>44)%len(st.ids)]
 		_, slot := d.alloc(shard)
-		e.Reschedule(st.pending[victim], (q+1+Time(h>>48)%4)*diffU+slot)
+		n.Reschedule(st.pending[victim], (q+1+Time(h>>48)%4)*diffU+slot)
 	}
 }
 
@@ -170,20 +170,20 @@ func (d *diffHarness) seedWork() {
 		}
 		id, slot := d.alloc(s)
 		ticks := 0
-		e := d.engines[s]
+		n := d.nodes[s]
 		var tick func()
 		tick = func() {
 			d.mu.Lock()
-			d.log = append(d.log, fireRec{e.Now(), s, id})
+			d.log = append(d.log, fireRec{n.Now(), s, id})
 			d.mu.Unlock()
 			ticks++
 			if ticks >= 40 || d.state[s].n >= diffCap {
 				return
 			}
 			_, slot := d.alloc(s)
-			e.At((coarse(e.Now())+1)*diffU+slot, tick)
+			n.At((coarse(n.Now())+1)*diffU+slot, tick)
 		}
-		e.At(diffU+slot, tick)
+		n.At(diffU+slot, tick)
 	}
 }
 
@@ -197,11 +197,11 @@ func (d *diffHarness) sortedLog() []fireRec {
 // logical shards sharing it.
 func runSerial(seed uint64, core Core, stopAtID int) []fireRec {
 	e := NewEngineWithCore(0, core)
-	engines := make([]*Engine, diffShards)
-	for i := range engines {
-		engines[i] = e
+	nodes := make([]*Handle, diffShards)
+	for i := range nodes {
+		nodes[i] = e.NewHandle(i)
 	}
-	d := newDiffHarness(seed, engines, stopAtID)
+	d := newDiffHarness(seed, nodes, stopAtID)
 	d.seedWork()
 	e.RunUntilIdle()
 	return d.sortedLog()
@@ -211,11 +211,11 @@ func runSerial(seed uint64, core Core, stopAtID int) []fireRec {
 // The lookahead is one coarse step, matching scheduleCross's guarantee.
 func runSharded(seed uint64, workers, stopAtID int) []fireRec {
 	g := NewShardGroup(0, diffShards, workers, diffU)
-	engines := make([]*Engine, diffShards)
-	for i := range engines {
-		engines[i] = g.Shard(i)
+	nodes := make([]*Handle, diffShards)
+	for i := range nodes {
+		nodes[i] = g.Shard(i).NewHandle(i)
 	}
-	d := newDiffHarness(seed, engines, stopAtID)
+	d := newDiffHarness(seed, nodes, stopAtID)
 	d.seedWork()
 	g.RunUntilIdle()
 	return d.sortedLog()
@@ -254,31 +254,204 @@ func TestShardedDifferential(t *testing.T) {
 	}
 }
 
+// The tie workload: tieShards shards of tiePerShard nodes, each node
+// scheduling through its own handle, with every event due on a grid of
+// tieStep. Every event fires at a grid instant, so the nodes of a shard
+// schedule at one instant for one instant, and deliveries from other shards
+// tie with their local events on (due, scheduled).
+const (
+	tieShards   = 3
+	tiePerShard = 3
+	tieNodes    = tieShards * tiePerShard
+	tieStep     = Time(100) // also the group lookahead
+	tieBudget   = 200       // schedules per node
+)
+
+// runTies drives the tie workload with node i on engines[i/tiePerShard]
+// and returns, for each node, the ids of the events fired for it in the
+// order they fired. An id names the scheduling node and its schedule count.
+func runTies(seed uint64, engines []*Engine, run func() uint64) [tieNodes][]int {
+	type tieNode struct {
+		h       *Handle
+		made    int
+		pending []int          // ids of its pending local events
+		evs     map[int]*Event // by id, while pending
+		fired   []int
+	}
+	var nodes [tieNodes]*tieNode
+	for i := range nodes {
+		nodes[i] = &tieNode{h: engines[i/tiePerShard].NewHandle(i), evs: map[int]*Event{}}
+	}
+	var fire func(node, id int) func()
+	// next draws node's next schedule id, or -1 once its budget is spent.
+	next := func(node int) int {
+		n := nodes[node]
+		if n.made == tieBudget {
+			return -1
+		}
+		n.made++
+		return node*tieBudget + n.made
+	}
+	fire = func(node, id int) func() {
+		return func() {
+			n := nodes[node]
+			n.fired = append(n.fired, id)
+			if _, ok := n.evs[id]; ok {
+				delete(n.evs, id)
+				n.pending = slices.DeleteFunc(n.pending, func(p int) bool { return p == id })
+			}
+			h := mix(seed, uint64(id))
+			step := n.h.Now() / tieStep
+			for k := range h % 3 {
+				if id := next(node); id >= 0 {
+					n.evs[id] = n.h.At((step+1+Time(h>>(8+k)&1))*tieStep, fire(node, id))
+					n.pending = append(n.pending, id)
+				}
+			}
+			if to := int(h>>16) % tieNodes; h>>24&1 == 0 {
+				if id := next(node); id >= 0 {
+					n.h.ScheduleOn(nodes[to].h.Engine(), (step+1+Time(h>>25&1))*tieStep, fire(to, id))
+				}
+			}
+			// Reschedule a pending local event to the next step, which
+			// gives it a new key.
+			if k := int(h>>32) % 4; k < len(n.pending) {
+				n.h.Reschedule(n.evs[n.pending[k]], (step+1)*tieStep)
+			}
+		}
+	}
+	for i := range nodes {
+		for range 2 {
+			nodes[i].h.At(tieStep, fire(i, next(i)))
+		}
+	}
+	run()
+	var fired [tieNodes][]int
+	for i, n := range nodes {
+		fired[i] = n.fired
+	}
+	return fired
+}
+
+// TestShardedTies runs the tie workload on the heap and wheel cores and on
+// ShardGroups at 1, 2 and 4 workers: each node's events fire in one order
+// on every core.
+func TestShardedTies(t *testing.T) {
+	serial := func(core Core) [tieNodes][]int {
+		e := NewEngineWithCore(0, core)
+		engines := make([]*Engine, tieShards)
+		for i := range engines {
+			engines[i] = e
+		}
+		return runTies(7, engines, e.RunUntilIdle)
+	}
+	sharded := func(workers int) [tieNodes][]int {
+		g := NewShardGroup(0, tieShards, workers, tieStep)
+		return runTies(7, g.shards, g.RunUntilIdle)
+	}
+	want := serial(CoreHeap)
+	total := 0
+	for _, f := range want {
+		total += len(f)
+	}
+	if total < 500 {
+		t.Fatalf("degenerate workload: %d fires", total)
+	}
+	for name, got := range map[string][tieNodes][]int{
+		"wheel": serial(CoreWheel), "sharded/1": sharded(1), "sharded/2": sharded(2), "sharded/4": sharded(4),
+	} {
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("%s: node %d fired %v, heap fired %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestShardedDeliveryOrdersBySendTime runs one script serially and on a
-// 2-shard group with a 10ns lookahead: shard A schedules a local event due
-// at 20 at t=3, B sends A a delivery due at 20 at t=5, and A schedules
-// another local event due at 20 at t=7. Events due at one instant fire in
-// the order they were scheduled, so the delivery fires between the two.
+// 3-shard group with a 10ns lookahead. Node 2, alone on shard 0, schedules
+// an event due at 20 at t=3, one at t=5 and one at t=7; at t=5 node 0 on
+// shard 1 and node 1 on shard 2 each send it a delivery due at 20. Events
+// due at one instant fire in the order they were scheduled, and those
+// scheduled at one instant in order of scheduling node, whatever order the
+// nodes ran in: the deliveries fire between the first two local events.
 func TestShardedDeliveryOrdersBySendTime(t *testing.T) {
-	script := func(a, b *Engine, run func() uint64) []string {
+	script := func(shard [3]*Engine, run func() uint64) []string {
 		var got []string
 		fire := func(name string) func() { return func() { got = append(got, name) } }
-		a.At(3, func() { a.At(20, fire("before")) })
-		b.At(5, func() { b.ScheduleOn(a, 20, fire("delivery")) })
-		a.At(7, func() { a.At(20, fire("after")) })
+		var h [3]*Handle
+		for i, e := range shard {
+			h[i] = e.NewHandle(i)
+		}
+		a := h[2].Engine()
+		h[2].At(3, func() { h[2].At(20, fire("before")) })
+		h[1].At(5, func() { h[1].ScheduleOn(a, 20, fire("from node 1")) })
+		h[2].At(5, func() { h[2].At(20, fire("local")) })
+		h[0].At(5, func() { h[0].ScheduleOn(a, 20, fire("from node 0")) })
+		h[2].At(7, func() { h[2].At(20, fire("after")) })
 		run()
 		return got
 	}
-	want := []string{"before", "delivery", "after"}
+	want := []string{"before", "from node 0", "from node 1", "local", "after"}
 	e := NewEngine(0)
-	g := NewShardGroup(0, 2, 2, 10)
+	g := NewShardGroup(0, 3, 2, 10)
 	for name, got := range map[string][]string{
-		"serial":  script(e, e, e.RunUntilIdle),
-		"sharded": script(g.Shard(0), g.Shard(1), g.RunUntilIdle),
+		"serial":  script([3]*Engine{e, e, e}, e.RunUntilIdle),
+		"sharded": script([3]*Engine{g.Shard(1), g.Shard(2), g.Shard(0)}, g.RunUntilIdle),
 	} {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s fired %v, want %v", name, got, want)
 		}
+	}
+}
+
+// liveEntries returns every live entry in e's queue.
+func liveEntries(e *Engine) []entry {
+	var all []entry
+	if e.useHeap {
+		all = e.heap
+	} else {
+		w := &e.wheel
+		all = append(append(all, w.run[w.next:]...), w.late...)
+		for _, sl := range append(w.near[:], w.far[:]...) {
+			for c := sl.head; c != nil; c = c.next {
+				all = append(all, c.ents[:c.n]...)
+			}
+		}
+		all = append(all, w.overflow...)
+	}
+	return slices.DeleteFunc(slices.Clone(all), func(en entry) bool { return !en.live() })
+}
+
+// TestShardKeysUnique schedules through two node handles on each shard,
+// with reschedules and a delivery between the shards, and requires each
+// live entry of the group to carry a key of its own.
+func TestShardKeysUnique(t *testing.T) {
+	g := NewShardGroup(0, 2, 1, 10)
+	a, b := g.Shard(0), g.Shard(1)
+	n0, n1, n2, n3 := a.NewHandle(0), a.NewHandle(1), b.NewHandle(2), b.NewHandle(3)
+	for _, h := range []*Handle{n0, n1, n2, n3} {
+		for k := range Time(3) {
+			if ev := h.At(5+k, func() {}); k == 0 {
+				h.Reschedule(ev, 30)
+			}
+		}
+	}
+	n0.At(1, func() { n0.ScheduleOn(b, 25, func() {}) })
+	g.Run(2)
+	seen := map[uint64]bool{}
+	n := 0
+	for _, e := range g.shards {
+		for _, en := range liveEntries(e) {
+			if seen[en.key] {
+				t.Errorf("two live entries carry key %#x", en.key)
+			}
+			seen[en.key] = true
+			n++
+		}
+	}
+	if n != g.Pending() || n != 13 {
+		t.Errorf("found %d live entries, the group holds %d pending, want 13", n, g.Pending())
 	}
 }
 
@@ -293,12 +466,12 @@ func TestShardedDeliveryOrdersBySendTime(t *testing.T) {
 func TestShardedIdleShardKeepsSortedRun(t *testing.T) {
 	const lookahead, windows = 24 * Microsecond, 40
 	g := NewShardGroup(0, 2, 2, lookahead)
-	src, dst := g.Shard(0), g.Shard(1)
+	src, dst := g.Shard(0).NewHandle(0), g.Shard(1).NewHandle(1)
 	dst.At(2*Millisecond, func() {})
 	sent := 0
 	var send func()
 	send = func() {
-		src.ScheduleOn(dst, src.Now()+lookahead, func() {})
+		src.ScheduleOn(dst.Engine(), src.Now()+lookahead, func() {})
 		if sent++; sent < windows {
 			src.At(src.Now()+lookahead, send)
 		}
@@ -308,14 +481,15 @@ func TestShardedIdleShardKeepsSortedRun(t *testing.T) {
 	for k := Time(0); k < windows; k++ {
 		end := k*lookahead + 1 // Run(until) ends its last window at until+1
 		g.Run(end - 1)
-		maxLate = max(maxLate, len(dst.wheel.late))
-		maxAhead = max(maxAhead, dst.wheel.frontier-end)
+		w := &dst.Engine().wheel
+		maxLate = max(maxLate, len(w.late))
+		maxAhead = max(maxAhead, w.frontier-end)
 	}
 	if maxLate > 0 || maxAhead > lookahead+nearSlotWidth {
 		t.Errorf("late heap reached %d entries, frontier ran %v past the window end", maxLate, maxAhead)
 	}
 	g.RunUntilIdle()
-	if got := dst.Fired(); got != windows+1 {
+	if got := dst.Engine().Fired(); got != windows+1 {
 		t.Errorf("shard 1 fired %d events, want %d", got, windows+1)
 	}
 }
@@ -342,7 +516,7 @@ func TestShardedStopDeterministic(t *testing.T) {
 // panic rather than corrupt causality.
 func TestShardedCrossBelowLookaheadPanics(t *testing.T) {
 	g := NewShardGroup(0, 2, 1, 1000)
-	a, b := g.Shard(0), g.Shard(1)
+	a := g.Shard(0).NewHandle(0)
 	a.At(10, func() {
 		defer func() {
 			if recover() == nil {
@@ -350,7 +524,7 @@ func TestShardedCrossBelowLookaheadPanics(t *testing.T) {
 			}
 			panic("unwind") // keep the engine from continuing after the failed schedule
 		}()
-		a.ScheduleOn(b, a.Now()+1, func() {})
+		a.ScheduleOn(g.Shard(1), a.Now()+1, func() {})
 	})
 	func() {
 		defer func() { recover() }()
@@ -373,13 +547,12 @@ func TestShardedRunOnShardPanics(t *testing.T) {
 // TestShardGroupStats sanity-checks the window counters on a workload with
 // guaranteed cross-shard traffic.
 func TestShardGroupStats(t *testing.T) {
-
 	g := NewShardGroup(0, diffShards, 2, diffU)
-	engines := make([]*Engine, diffShards)
-	for i := range engines {
-		engines[i] = g.Shard(i)
+	nodes := make([]*Handle, diffShards)
+	for i := range nodes {
+		nodes[i] = g.Shard(i).NewHandle(i)
 	}
-	d := newDiffHarness(7, engines, -1)
+	d := newDiffHarness(7, nodes, -1)
 	d.seedWork()
 	g.RunUntilIdle()
 	st := g.Stats()

@@ -9,7 +9,7 @@ import (
 )
 
 // The timer wheel must be observationally identical to the reference 4-ary
-// heap: same events, same fire times, same order — including the seq
+// heap: same events, same fire times, same order — including the key
 // tie-break among same-time events — under any interleaving of schedules,
 // cancels and reschedules. These tests drive both cores with mirrored
 // operation sequences and compare complete fire logs.
@@ -27,6 +27,7 @@ func mirroredEngines(t *testing.T, seed int64, ops, maxDelta int) (wheelLog, hea
 	run := func(core Core) []firing {
 		var log []firing
 		e := NewEngineWithCore(1, core)
+		h := e.NewHandle(0)
 		rng := rand.New(rand.NewSource(seed))
 		var live []*Event
 		record := func(label string) func() {
@@ -37,14 +38,14 @@ func mirroredEngines(t *testing.T, seed int64, ops, maxDelta int) (wheelLog, hea
 			case op < 5: // schedule
 				d := Time(rng.Intn(maxDelta)) + 1
 				label := string(rune('a' + i%26))
-				live = append(live, e.After(d, record(label)))
+				live = append(live, h.After(d, record(label)))
 			case op < 7 && len(live) > 0: // cancel
 				idx := rng.Intn(len(live))
 				e.Cancel(live[idx])
 				live = append(live[:idx], live[idx+1:]...)
 			case op < 9 && len(live) > 0: // reschedule
 				idx := rng.Intn(len(live))
-				e.Reschedule(live[idx], e.Now()+Time(rng.Intn(maxDelta))+1)
+				h.Reschedule(live[idx], e.Now()+Time(rng.Intn(maxDelta))+1)
 			default: // step, retiring fired events from the live set
 				if e.Pending() > 0 {
 					e.Step()
@@ -86,6 +87,7 @@ func TestWheelMatchesHeapRandomized(t *testing.T) {
 // produce the same log.
 type queueDriver struct {
 	e       *Engine
+	nodes   []*Handle // by node id, made on first use
 	log     []firing
 	bounds  []bound  // what each probe saw of the earliest live time
 	evs     []*Event // by id; nil once fired or canceled
@@ -146,10 +148,19 @@ func (d *queueDriver) probePeek(t *testing.T, limit Time) {
 	}
 }
 
-func (d *queueDriver) schedule(t Time) {
+// node returns the handle of node id, making it on first use.
+func (d *queueDriver) node(id int) *Handle {
+	for len(d.nodes) <= id {
+		d.nodes = append(d.nodes, d.e.NewHandle(len(d.nodes)))
+	}
+	return d.nodes[id]
+}
+
+// schedule schedules an event at t through the given node's handle.
+func (d *queueDriver) schedule(node int, t Time) {
 	id := len(d.evs)
 	label := strconv.Itoa(id)
-	d.evs = append(d.evs, d.e.At(t, func() {
+	d.evs = append(d.evs, d.node(node).At(t, func() {
 		d.log = append(d.log, firing{d.e.Now(), label})
 		d.evs[id] = nil
 		if d.onFire != nil {
@@ -179,9 +190,9 @@ func (d *queueDriver) cancel(r int) {
 	}
 }
 
-func (d *queueDriver) reschedule(r int, t Time) {
+func (d *queueDriver) reschedule(node, r int, t Time) {
 	if id := d.pick(r); id >= 0 {
-		d.e.Reschedule(d.evs[id], t)
+		d.node(node).Reschedule(d.evs[id], t)
 	}
 }
 
@@ -223,7 +234,9 @@ func sameBounds(t *testing.T, what string, wheel, heap []bound) {
 // time zero into the far wheel, half scheduled later by a spacer directly
 // into the near wheel, so the older far entries cascade into the slot behind
 // newer ones for the same instant. Two of the instants share a 64ns
-// sub-slot. Each firing may schedule at, between and past those instants
+// sub-slot, and three nodes take turns scheduling each burst, so its
+// entries tie on (due, scheduled) across nodes. Each firing may schedule at,
+// between and past those instants
 // (below the frontier: before, at and after the sorted run's last entry),
 // cancel or reschedule a pending event, peek, or probe the earliest live time
 // with wheel.earliest or with a peek below a limit. Then the engine idles, a
@@ -245,11 +258,11 @@ func burstLog(t *testing.T, core Core, seed int64) *queueDriver {
 		}
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3:
-			d.schedule(e.Now() + deltas[rng.Intn(len(deltas))])
+			d.schedule(len(d.evs)%3, e.Now()+deltas[rng.Intn(len(deltas))])
 		case 4:
 			d.cancel(rng.Int())
 		case 5:
-			d.reschedule(rng.Int(), e.Now()+deltas[rng.Intn(len(deltas))])
+			d.reschedule(len(d.evs)%3, rng.Int(), e.Now()+deltas[rng.Intn(len(deltas))])
 		case 6:
 			e.peekNext(Forever)
 		case 7:
@@ -260,13 +273,13 @@ func burstLog(t *testing.T, core Core, seed int64) *queueDriver {
 	}
 	for _, at := range instants {
 		for i := 0; i < burst/2; i++ {
-			d.schedule(at)
+			d.schedule(i%3, at)
 		}
 	}
-	e.At(slot-200*nearSlotWidth, func() {
+	d.node(0).At(slot-200*nearSlotWidth, func() {
 		for _, at := range instants {
 			for i := 0; i < burst/2; i++ {
-				d.schedule(at)
+				d.schedule(i%3, at)
 			}
 		}
 	})
@@ -274,12 +287,12 @@ func burstLog(t *testing.T, core Core, seed int64) *queueDriver {
 
 	now := e.Now()
 	lone := now + 5*Millisecond
-	d.schedule(lone)
+	d.schedule(0, lone)
 	e.Run(now) // fires nothing; the peek drains lone's slot
 	limit = len(d.evs) + 6000
 	for _, at := range []Time{now + 10, now + 3000, lone, lone + 100} {
 		for i := 0; i < burst; i++ {
-			d.schedule(at)
+			d.schedule(i%3, at)
 		}
 	}
 	e.RunUntilIdle()
@@ -322,27 +335,31 @@ func fuzzDelta(class, arg byte) Time {
 // fuzzLog decodes ops, two bytes per operation, and applies them to one
 // engine: schedule one event, probe wheel.earliest, schedule a same-instant
 // burst, cancel, reschedule, peek (without a limit for class 0, else below
-// now plus the delay), step, or run up to a time. It returns the driver,
-// with the fire log, after draining the engine.
+// now plus the delay), step, or run up to a time. The class bits above the
+// delay's name the node a schedule, burst or reschedule goes through: node
+// 0 for classes 0-5, up to node 5 for classes 30-31, so that schedules of
+// one instant by different nodes tie on (due, scheduled). It returns the
+// driver, with the fire log, after draining the engine.
 func fuzzLog(t *testing.T, core Core, ops []byte) *queueDriver {
 	d := &queueDriver{e: NewEngineWithCore(1, core)}
 	e := d.e
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i], ops[i+1]
 		delta := fuzzDelta(op>>3, arg)
+		node := int(op>>3) / 6
 		switch op & 7 {
 		case 0:
-			d.schedule(e.Now() + delta)
+			d.schedule(node, e.Now()+delta)
 		case 1:
 			d.probeEarliest(t)
 		case 2:
 			for k := 0; k < int(arg%32)+2; k++ {
-				d.schedule(e.Now() + fuzzDelta(op>>3, arg/32))
+				d.schedule(node, e.Now()+fuzzDelta(op>>3, arg/32))
 			}
 		case 3:
 			d.cancel(int(arg))
 		case 4:
-			d.reschedule(int(arg), e.Now()+delta)
+			d.reschedule(node, int(arg), e.Now()+delta)
 		case 5:
 			if op>>3 == 0 {
 				e.peekNext(Forever)
@@ -390,6 +407,11 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{0x18, 10, 0x03, 0, 0x20, 2, 0x28, 1, 0x01, 0, 0x0d, 9,
 		0x1d, 122, 0x01, 0, 0x06, 0, 0x01, 0, 0x25, 3, 0x01, 0, 0x2d, 2,
 		0x01, 0, 0x1a, 0x41, 0x01, 0, 0x06, 0})
+	// Nodes 3, 1 and 2 schedule at 0 for 5ns, and node 4 a burst of three
+	// for 5ns; after a step, node 2 reschedules one for 5ns at 5ns, and
+	// nodes 5 and 1 schedule one each for 5ns.
+	f.Add([]byte{0x98, 5, 0x38, 5, 0x68, 5, 0xca, 0xa1, 0x06, 0,
+		0x6c, 0, 0xf8, 0, 0x30, 0, 0x06, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -402,20 +424,21 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 
 // TestWheelSameTimeFIFO: same-time events fire in schedule order across all
 // wheel levels (entries reach the sorted run via different paths — direct
-// insert, near drain, far cascade — and must still sort by seq).
+// insert, near drain, far cascade — and must still sort by key).
 func TestWheelSameTimeFIFO(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
+	h := e.NewHandle(0)
 	const at = Time(3 * Millisecond)
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(at, func() { got = append(got, i) })
+		h.At(at, func() { got = append(got, i) })
 	}
 	// Same time, scheduled later, after the frontier context changed.
-	e.After(Microsecond, func() {
+	h.After(Microsecond, func() {
 		for i := 100; i < 120; i++ {
 			i := i
-			e.At(at, func() { got = append(got, i) })
+			h.At(at, func() { got = append(got, i) })
 		}
 	})
 	e.RunUntilIdle()
@@ -434,9 +457,10 @@ func TestWheelSameTimeFIFO(t *testing.T) {
 // that must not overflow int64.
 func TestWheelLevelPlacement(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
+	h := e.NewHandle(0)
 	var order []string
 	add := func(d Time, label string) {
-		e.After(d, func() { order = append(order, label) })
+		h.After(d, func() { order = append(order, label) })
 	}
 	add(100, "sub-slot")                                   // sub-slot
 	add(20*nearSlotWidth, "near")                          // inside the near window
@@ -459,15 +483,16 @@ func TestWheelLevelPlacement(t *testing.T) {
 // straight to the overflow heap's earliest entry instead of walking windows.
 func TestWheelTeleport(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
+	h := e.NewHandle(0)
 	fired := false
-	e.At(Time(10*Minute), func() { fired = true })
+	h.At(Time(10*Minute), func() { fired = true })
 	e.RunUntilIdle()
 	if !fired || e.Now() != Time(10*Minute) {
 		t.Fatalf("teleport fire: fired=%v now=%v", fired, e.Now())
 	}
 	// RunUntilIdle fires everything due at or before Forever, so the
 	// teleport reaches an entry due at Forever itself.
-	e.At(Forever, func() { fired = false })
+	h.At(Forever, func() { fired = false })
 	e.RunUntilIdle()
 	if fired || e.Now() != Forever {
 		t.Fatalf("teleport to Forever: fired=%v now=%v", !fired, e.Now())
@@ -478,9 +503,10 @@ func TestWheelTeleport(t *testing.T) {
 // verifies none fire and Pending drops to zero.
 func TestWheelCancelEverywhere(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
+	h := e.NewHandle(0)
 	var evs []*Event
 	for _, d := range []Time{50, 30 * nearSlotWidth, wheelSlots * nearSlotWidth * 5, Hour} {
-		evs = append(evs, e.After(d, func() { t.Fatal("canceled event fired") }))
+		evs = append(evs, h.After(d, func() { t.Fatal("canceled event fired") }))
 	}
 	for _, ev := range evs {
 		e.Cancel(ev)
@@ -495,13 +521,14 @@ func TestWheelCancelEverywhere(t *testing.T) {
 // and checks it fires exactly once at its final time.
 func TestWheelRescheduleAcrossLevels(t *testing.T) {
 	e := NewEngineWithCore(1, CoreWheel)
+	h := e.NewHandle(0)
 	count := 0
-	ev := e.After(Hour, func() { count++ })
-	e.Reschedule(ev, Time(40))                         // below the frontier
-	e.Reschedule(ev, Time(100*nearSlotWidth))          // near
-	e.Reschedule(ev, Time(wheelSlots*nearSlotWidth*7)) // far
+	ev := h.After(Hour, func() { count++ })
+	h.Reschedule(ev, Time(40))                         // below the frontier
+	h.Reschedule(ev, Time(100*nearSlotWidth))          // near
+	h.Reschedule(ev, Time(wheelSlots*nearSlotWidth*7)) // far
 	final := Time(2 * Millisecond)
-	e.Reschedule(ev, final)
+	h.Reschedule(ev, final)
 	e.RunUntilIdle()
 	if count != 1 || e.Now() != final {
 		t.Fatalf("count=%d now=%v, want 1 fire at %v", count, e.Now(), final)

@@ -253,7 +253,7 @@ func TestTimelineEmptyOnBadArgs(t *testing.T) {
 func TestBufferWithLiveNode(t *testing.T) {
 	eng := sim.NewEngine(1)
 	opts := kernel.VanillaOptions(2)
-	n := kernel.MustNode(eng, 0, opts)
+	n := kernel.MustNode(eng.NewHandle(0), opts)
 	b := NewBuffer(10000)
 	n.SetSink(b)
 	n.Start()
